@@ -14,7 +14,7 @@ serving usable:
   ``service.submit`` in-process.  The difference is pure front-end:
   framing, CRC, the event loop, the executor hop.  Gate: ≤ 5 ms.
 * **Identity gate** — for the same job keys on every kernel tier
-  (reference / fast / turbo / vector), the payload served over the
+  (reference / turbo), the payload served over the
   wire must be byte-identical (canonical JSON) to a fresh in-process
   execution.  The socket must never change an answer.
 

@@ -16,7 +16,7 @@ property that makes it usable at all:
   cold and hits come off disk); no job simulates.
 * **Identity gate** — the warm payloads must be byte-identical
   (canonical JSON) to the cold pass's fresh simulations, per job, on
-  every kernel tier (reference / fast / turbo).
+  every kernel tier (reference / turbo).
 
 * **Journal overhead** — the same cold pass with a write-ahead job
   journal attached (every SUBMIT/START/DONE fsynced) must stay within

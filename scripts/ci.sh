@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 CI: the full test suite on the default (turbo) kernel, the
-# kernel regression tests pinned to each other tier, four-way
-# conformance (fuzz + golden traces across reference/fast/turbo/
-# vector), a parallel-sweep smoke, and a wall-clock benchmark smoke
-# run (quick mode: asserts cycle-exactness between kernels, not the
-# speedup targets).
+# kernel regression tests pinned to the reference tier, two-way
+# conformance (fuzz + golden traces across reference/turbo), a
+# parallel-sweep smoke, and a wall-clock benchmark smoke run (quick
+# mode: asserts cycle-exactness between kernels, not the speedup
+# targets).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,28 +18,17 @@ REPRO_SLOW_KERNEL=1 python -m pytest \
     tests/test_perf_kernel.py tests/test_events_ordering.py \
     tests/test_events_engine.py tests/test_events_channels.py -x -q
 
-echo "== kernel equivalence tests (fast kernel, turbo disabled) =="
-REPRO_TURBO_KERNEL=0 python -m pytest \
-    tests/test_perf_kernel.py tests/test_events_ordering.py \
-    tests/test_events_engine.py tests/test_events_channels.py -x -q
-
-echo "== kernel equivalence tests (vector kernel, columnar queue) =="
-REPRO_VECTOR_KERNEL=1 python -m pytest \
-    tests/test_perf_kernel.py tests/test_events_ordering.py \
-    tests/test_events_engine.py tests/test_events_channels.py -x -q
-
-echo "== chain-equivalence tests (fused chain vs per-op, every tier) =="
+echo "== chain-equivalence tests (fused chain vs per-op, both tiers) =="
 # The model-layer chain pipeline must match the per-op program
-# bit-for-bit on each tier; the file pins every tier itself, and the
-# per-tier env runs catch env-pinned construction paths too.
+# bit-for-bit on each tier; the file pins both tiers itself, and the
+# reference env run catches env-pinned construction paths too.
 python -m pytest tests/test_chain_pipeline.py -x -q
 REPRO_SLOW_KERNEL=1 python -m pytest tests/test_chain_pipeline.py -x -q
-REPRO_VECTOR_KERNEL=1 python -m pytest tests/test_chain_pipeline.py -x -q
 
-echo "== differential fuzz smoke (four-way, fixed seeds) =="
+echo "== differential fuzz smoke (two-way, fixed seeds) =="
 # Fixed seeds so CI is deterministic; the budget bounds wall clock on
-# slow machines.  Every case replays on all four kernel tiers and
-# diffs against the reference; divergences shrink to tests/repros/
+# slow machines.  Every case replays on both kernel tiers and diffs
+# turbo against the reference; divergences shrink to tests/repros/
 # and fail the run.
 python -m repro.testing.fuzz --seed 1986 --cases 200 --budget 30
 python -m repro.testing.fuzz --seed 8086 --cases 120 --budget 20
@@ -47,17 +36,17 @@ python -m repro.testing.fuzz --seed 8086 --cases 120 --budget 20
 echo "== occam optimizer fuzz smoke (dual-compile + AOT warm start) =="
 # Every occam case compiles twice (-O0 and -O2), AOT-warm-starts the
 # optimized build (asserting the runtime translator is never invoked),
-# and diffs observable results across all four kernel tiers; the
-# budget bounds wall clock on slow machines.
+# and diffs observable results across both kernel tiers; the budget
+# bounds wall clock on slow machines.
 python -m repro.testing.fuzz --seed 31415 --cases 80 \
     --generators occam --budget 45
 
 echo "== service chaos smoke (kills, journal damage, quota, shed) =="
 # Seeded chaos schedules against the machine-room layer: mid-drain
 # process kills, journal truncation/corruption, cache damage, worker
-# crashes, tenant quotas.  Every case replays on all four kernel
-# tiers (the outcomes are tier-independent by construction, so any
-# diff is service nondeterminism) and must deliver every surviving
+# crashes, tenant quotas.  Every case replays on both kernel tiers
+# (the outcomes are tier-independent by construction, so any diff is
+# service nondeterminism) and must deliver every surviving
 # job byte-identical to a clean run.
 python -m repro.testing.fuzz --seed 1987 --cases 50 \
     --generators service --budget 120
@@ -69,8 +58,8 @@ echo "== net chaos smoke (torn frames, hostile bytes, server kills) =="
 # The net generator is opt-in (it spins up live servers per case):
 # seeded serving-chaos schedules attack the socket/HTTP front-end
 # with torn frames, bad CRCs, oversize headers, hostile HTTP, and
-# mid-drain kill -9; every case replays on all four kernel tiers and
-# must serve every job byte-identical to clean direct execution.
+# mid-drain kill -9; every case replays on both kernel tiers and must
+# serve every job byte-identical to clean direct execution.
 python -m repro.testing.fuzz --seed 2601 --cases 50 \
     --generators net --budget 180
 
@@ -80,7 +69,7 @@ python scripts/net_smoke.py
 echo "== fault-tolerance smoke (ARQ retries + recovery digest) =="
 python scripts/fault_smoke.py
 
-echo "== golden trace conformance (reference / fast / turbo / vector) =="
+echo "== golden trace conformance (reference / turbo) =="
 python scripts/regen_golden.py --check
 
 echo "== service smoke (batch twice; second pass all cache hits) =="
@@ -110,10 +99,10 @@ rm -rf "$SERVICE_SMOKE_DIR"
 echo "== cache-versioning guard (golden digests <-> job-key schema) =="
 python scripts/check_cache_version.py
 
-echo "== service benchmark smoke (cold/warm identity, three tiers) =="
+echo "== service benchmark smoke (cold/warm identity, both tiers) =="
 python benchmarks/bench_service.py --quick --no-json
 
-echo "== net benchmark smoke (remote byte-identity, four tiers) =="
+echo "== net benchmark smoke (remote byte-identity, both tiers) =="
 # Quick mode gates remote-vs-in-process byte identity on every kernel
 # tier; the perf targets run on the committed full-run JSON below.
 timeout 300 python benchmarks/bench_net.py --quick --no-json
@@ -150,25 +139,23 @@ else
     echo "pytest-cov not installed; skipping coverage floor"
 fi
 
-echo "== wall-clock benchmark smoke (four tiers, cycle-exactness) =="
+echo "== wall-clock benchmark smoke (both tiers, cycle-exactness) =="
 # Wall budget: the smoke gates tier identity, not speed; a wedged
 # tier run fails CI instead of hanging it.
 timeout 300 python benchmarks/bench_wallclock.py --quick --no-json
 
-echo "== matmul vector gate (committed BENCH_wallclock.json) =="
+echo "== matmul gate (committed BENCH_wallclock.json) =="
 # The quick smoke above skips speedup targets (tiny sizes are all
 # noise); the committed full-run JSON must carry the chain-pipeline
-# gates: vector ≥ 2.2x over reference on E12 matmul and no longer
-# trailing turbo, with chains actually fused.
+# gate: turbo ≥ 2.2x over reference on E12 matmul, with chains
+# actually fused.
 python - <<'EOF'
 import json
 acc = json.load(open("BENCH_wallclock.json"))["acceptance"]
-assert acc["matmul_vector_wall_speedup"] >= acc["matmul_vector_target"], acc
-assert acc["matmul_vector_vs_turbo"] >= acc["matmul_vector_vs_turbo_target"], acc
+assert acc["matmul_wall_speedup"] >= acc["matmul_target"], acc
 assert acc["matmul_chains_fused"] > 0, acc
-print("matmul vector gate OK:",
-      acc["matmul_vector_wall_speedup"], "x vs reference,",
-      acc["matmul_vector_vs_turbo"], "x vs turbo,",
+print("matmul gate OK:",
+      acc["matmul_wall_speedup"], "x vs reference,",
       acc["matmul_chains_fused"], "chains fused")
 EOF
 

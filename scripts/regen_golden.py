@@ -4,8 +4,7 @@
 Run this ONLY when a behavioural change is intentional (a timing
 model correction, a new scheduler rule, ...).  The diff of the JSON
 files is the review artefact: every changed number is a behaviour
-change that all four kernel tiers (reference, fast, turbo, vector) now agree
-on.
+change that both kernel tiers (reference, turbo) now agree on.
 
 Usage::
 

@@ -103,25 +103,17 @@ def engine_stats(engine) -> dict:
     ``events_per_sim_us`` (event density in simulated time),
     ``fast_kernel`` (False when ``REPRO_SLOW_KERNEL`` forced the
     pure-heap reference path), ``kernel_tier`` (the engine's tier:
-    reference, fast, turbo, or vector), ``fault_events`` (records in
-    the engine's installed :class:`~repro.events.FaultLog`; 0 without
-    one), ``cp_cache`` — the decoded-chain and translated-block
-    counters summed over every CP registered with the engine via
+    reference or turbo), ``fault_events`` (records in the engine's
+    installed :class:`~repro.events.FaultLog`; 0 without one),
+    ``cp_cache`` — the decoded-chain and translated-block counters
+    summed over every CP registered with the engine via
     ``as_process`` (all-zero when no CP ran, or on the reference
-    tier, which caches nothing), ``columnar`` — the vector tier's
-    SoA queue counters (``array_pops`` — pops served from a sorted
-    ready run, ``heap_pops`` — retail-heap fallback pops,
-    ``bulk_flushes``/``bulk_flushed`` — vectorized staging sorts and
-    the entries they ordered, ``retail_flushed`` — entries that fell
-    back to per-entry heap pushes, ``staged_pops`` — pops served
-    straight from the staging columns without any flush,
-    ``side_table_size`` — object residency in the event side-tables
-    right now; ``None`` on other tiers), and ``vau_batch`` — the
-    batched micro-sequencer counters summed over every vector unit
-    built on the engine (``chains``, ``batched_forms``,
-    ``batched_elements``, ``screens_elided`` are all-zero on tiers
-    that dispatch per-op; ``vau_chain_model``/``chain_ops_fused``
-    count model-layer fused chains and the ops they fused, and tick
+    tier, which caches nothing), and ``vau_batch`` — the batched
+    micro-sequencer counters summed over every vector unit built on
+    the engine (``chains``, ``batched_forms``, ``batched_elements``,
+    ``screens_elided`` are all-zero on the reference tier, which
+    dispatches per op; ``vau_chain_model``/``chain_ops_fused`` count
+    model-layer fused chains and the ops they fused, and tick
     identically on every tier).
     """
     scheduled = engine.heap_pushes + engine.lane_hits
@@ -141,8 +133,6 @@ def engine_stats(engine) -> dict:
         for key in cp_cache:
             if key != "cpus":
                 cp_cache[key] += counters[key]
-    cq = getattr(engine, "_cq", None)
-    columnar = cq.stats() if cq is not None else None
     vau_batch = {
         "vaus": len(getattr(engine, "vaus", ())),
         "chains": 0,
@@ -174,7 +164,6 @@ def engine_stats(engine) -> dict:
         "kernel_tier": engine.kernel_tier,
         "fault_events": len(fault_log) if fault_log is not None else 0,
         "cp_cache": cp_cache,
-        "columnar": columnar,
         "vau_batch": vau_batch,
     }
 
@@ -191,10 +180,6 @@ def engine_stats_table(engine, title="Event-kernel profile") -> Table:
     if cp_cache["cpus"]:
         for key in sorted(cp_cache):
             table.add(f"cp_{key}", cp_cache[key])
-    columnar = stats["columnar"]
-    if columnar is not None:
-        for key in sorted(columnar):
-            table.add(f"columnar_{key}", columnar[key])
     vau_batch = stats["vau_batch"]
     if vau_batch["vaus"]:
         for key in sorted(vau_batch):

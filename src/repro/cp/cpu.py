@@ -49,18 +49,16 @@ invoked; the instruction and cycle counters advance by the pre-summed
 totals afterwards.  A block ends at any branch, call, channel
 operation, or scheduler/priority point (the *tail*, executed with
 exact fast-path semantics), so architectural state at every chain
-boundary a harness can observe is bit-identical to the other tiers.
+boundary a harness can observe is bit-identical to the reference tier.
 :attr:`step_barrier` lets harnesses (self-modifying-code patching,
 ``as_process`` yield pacing) force control back at the first chain
-boundary where ``instructions >= barrier`` — the same boundary the
-chain-at-a-time tiers would stop at.  :meth:`patch_code` invalidates
+boundary where ``instructions >= barrier`` — the same boundary
+chain-at-a-time dispatch would stop at.  :meth:`patch_code` invalidates
 exactly the blocks whose span overlaps the patched range.
 
-Kernel tiers: ``REPRO_SLOW_KERNEL=1`` disables both caches, forcing
-the byte-at-a-time reference path (used by the equivalence regression
-tests and the wall-clock benchmark baseline); ``REPRO_TURBO_KERNEL=0``
-disables only the block translator, keeping the PR-1 decoded cache
-(the *fast* tier).
+Kernel tiers: ``REPRO_SLOW_KERNEL=1`` (the *reference* tier) disables
+both caches, forcing the byte-at-a-time reference path (used by the
+equivalence regression tests and the wall-clock benchmark baseline).
 """
 
 from repro.cp.isa import CYCLE_COSTS, Op, Secondary
@@ -206,18 +204,17 @@ class CPU:
         }
         tier = kernel_tier()
         self.kernel_tier = tier
-        self._decoded = {}
+        # Turbo tier: the decoded-chain cache, plus translated basic
+        # blocks keyed by start PC and a negative cache of PCs where
+        # translation was not worthwhile.
         self._use_cache = tier != "reference"
-        # Turbo tier and above: translated basic blocks, keyed by start
-        # PC, plus a negative cache of PCs where translation was not
-        # worthwhile.
-        self._use_blocks = tier in ("turbo", "vector")
+        self._decoded = {}
         self._blocks = {}
         self._unblocked = set()
         #: When set, the turbo tier returns control from :meth:`step`
         #: at the first instruction-chain boundary where
         #: ``instructions >= step_barrier`` instead of running through
-        #: it — the boundary the chain-at-a-time tiers would observe.
+        #: it — the boundary chain-at-a-time dispatch would observe.
         self.step_barrier = None
         # Cache profiling counters (see cache_stats()).
         self.decoded_hits = 0
@@ -342,7 +339,7 @@ class CPU:
         """
         import hashlib
 
-        if not self._use_blocks:
+        if not self._use_cache:
             raise CPUError(
                 "block import requires a block-translating kernel tier"
             )
@@ -593,12 +590,11 @@ class CPU:
             raise CPUError("CPU is halted")
         if self._use_cache and self.oreg == 0:
             iptr = self.iptr
-            if self._use_blocks:
-                block = self._blocks.get(iptr)
-                if block is None and iptr not in self._unblocked:
-                    block = self._translate_block(iptr)
-                if block is not None:
-                    return self._run_block(block)
+            block = self._blocks.get(iptr)
+            if block is None and iptr not in self._unblocked:
+                block = self._translate_block(iptr)
+            if block is not None:
+                return self._run_block(block)
             decoded = self._decoded
             entry = decoded.get(iptr)
             if entry is None:
@@ -734,8 +730,8 @@ class CPU:
         """Chain-at-a-time block execution honouring ``step_barrier``.
 
         Returns control at the first chain boundary where
-        ``instructions >= barrier`` — bit-identically to how the
-        chain-at-a-time tiers pace a harness's between-step checks.
+        ``instructions >= barrier`` — bit-identically to how
+        chain-at-a-time dispatch paces a harness's between-step checks.
         """
         chains, _tb, _tc, _cb, _cc, tail, _start, _end = block
         self.block_hits += 1
@@ -1129,8 +1125,8 @@ class CPU:
         or one whole decoded chain per call.  The turbo tier is paced
         through :attr:`step_barrier`: a translated block that would run
         through the next yield point instead returns at the first chain
-        boundary past it — exactly where the chain-at-a-time tiers
-        yield — so the engine-side event interleaving is bit-identical
+        boundary past it — exactly where chain-at-a-time dispatch
+        yields — so the engine-side event interleaving is bit-identical
         across tiers.
         """
         if self not in engine.cp_cpus:

@@ -24,26 +24,21 @@ already-processed event (and starting a new process) uses a slim
 ``[callback, event]`` record instead of allocating a shim
 :class:`Event`.
 
-The simulator has **four kernel tiers**, selected per object at
+The simulator has **two kernel tiers**, selected per object at
 construction time from the environment (see :func:`kernel_tier`):
 
 * ``reference`` — ``REPRO_SLOW_KERNEL=1``: the pure-heap path (every
   schedule goes through the priority queue, resumptions allocate shim
-  events), byte-at-a-time CP decode, no timing memoization;
-* ``fast`` — ``REPRO_TURBO_KERNEL=0``: the fast lane, resume records,
-  and the CP's decoded-instruction cache (the PR-1 optimisations);
-* ``turbo`` — the default: everything in ``fast``, plus an inline
-  resume trampoline for processes that yield already-fired events and
-  the CP's basic-block translator;
-* ``vector`` — ``REPRO_VECTOR_KERNEL=1``: everything in ``turbo``,
-  plus the columnar (structure-of-arrays) event queue of
-  :mod:`repro.events.columnar` — schedules append to parallel columns
-  and large pending sets are ordered with one stable numpy sort
-  instead of per-entry tuple-heap traffic — and the batched
-  vector-form path in :mod:`repro.fpu.vector_forms`.
+  events), byte-at-a-time CP decode, per-op vector arithmetic, no
+  timing memoization;
+* ``turbo`` — the default: the fast lane, resume records and an
+  inline resume trampoline for processes that yield already-fired
+  events, the CP's decoded-instruction cache and basic-block
+  translator, and whole-chain batched arithmetic in
+  :mod:`repro.fpu.vector_forms`.
 
-All tiers produce bit-identical simulated-time results; the
-differential fuzzers and golden traces compare them four ways.
+Both tiers produce bit-identical simulated-time results; the
+differential fuzzers and golden traces compare them.
 
 Example
 -------
@@ -84,41 +79,19 @@ def slow_kernel_requested() -> bool:
     return os.environ.get("REPRO_SLOW_KERNEL", "") not in ("", "0")
 
 
-#: The four kernel tiers, slowest first.
-KERNEL_TIERS = ("reference", "fast", "turbo", "vector")
+#: The kernel tiers, slowest first.
+KERNEL_TIERS = ("reference", "turbo")
 
 
 def kernel_tier() -> str:
-    """The kernel tier the environment currently selects.
-
-    ``REPRO_SLOW_KERNEL=1`` wins (the reference path, for baselines
-    and conformance); otherwise ``REPRO_VECTOR_KERNEL=1`` (or ``on``)
-    selects the columnar SoA tier; otherwise ``REPRO_TURBO_KERNEL=0``
-    (or ``off``) pins the PR-1 fast tier; otherwise the turbo tier —
-    the default.
-    """
-    if slow_kernel_requested():
-        return "reference"
-    if os.environ.get("REPRO_VECTOR_KERNEL", "") in ("1", "on"):
-        return "vector"
-    if os.environ.get("REPRO_TURBO_KERNEL", "") in ("0", "off"):
-        return "fast"
-    return "turbo"
-
-
-def turbo_kernel_requested() -> bool:
-    """True if the environment selects the turbo tier or a tier that
-    includes everything turbo does (the vector tier)."""
-    return kernel_tier() in ("turbo", "vector")
-
-
-def vector_kernel_requested() -> bool:
-    """True if the environment selects the columnar vector tier."""
-    return kernel_tier() == "vector"
+    """The kernel tier the environment currently selects:
+    ``reference`` under ``REPRO_SLOW_KERNEL=1`` (baselines and
+    conformance), otherwise ``turbo`` — the default."""
+    return "reference" if slow_kernel_requested() else "turbo"
 
 
 @contextlib.contextmanager
-def force_kernel(slow=None, tier=None):
+def force_kernel(tier):
     """Context manager selecting a kernel tier for everything built
     inside.
 
@@ -126,33 +99,21 @@ def force_kernel(slow=None, tier=None):
     :class:`Engine`, the CP's decoded/translated instruction caches,
     and the vector unit's timing memoization), so the
     differential-testing oracle builds each scenario once per tier —
-    ``force_kernel(tier="reference"|"fast"|"turbo")`` — and compares
-    the runs.  The legacy boolean spelling is still accepted:
-    ``force_kernel(slow=True)`` selects the reference tier and
-    ``force_kernel(slow=False)`` the fast tier (pinning
-    ``REPRO_TURBO_KERNEL=0`` so pre-turbo comparisons keep their
-    meaning).  The previous environment values are restored on exit.
+    ``force_kernel("reference")`` and ``force_kernel("turbo")`` — and
+    compares the runs.  The previous environment value is restored on
+    exit.
     """
-    if tier is None:
-        tier = "reference" if slow else "fast"
     if tier not in KERNEL_TIERS:
         raise ValueError(f"unknown kernel tier {tier!r}")
-    saved_slow = os.environ.get("REPRO_SLOW_KERNEL")
-    saved_turbo = os.environ.get("REPRO_TURBO_KERNEL")
-    saved_vector = os.environ.get("REPRO_VECTOR_KERNEL")
+    saved = os.environ.get("REPRO_SLOW_KERNEL")
     os.environ["REPRO_SLOW_KERNEL"] = "1" if tier == "reference" else "0"
-    os.environ["REPRO_TURBO_KERNEL"] = "1" if tier == "turbo" else "0"
-    os.environ["REPRO_VECTOR_KERNEL"] = "1" if tier == "vector" else "0"
     try:
         yield
     finally:
-        for name, saved in (("REPRO_SLOW_KERNEL", saved_slow),
-                            ("REPRO_TURBO_KERNEL", saved_turbo),
-                            ("REPRO_VECTOR_KERNEL", saved_vector)):
-            if saved is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = saved
+        if saved is None:
+            os.environ.pop("REPRO_SLOW_KERNEL", None)
+        else:
+            os.environ["REPRO_SLOW_KERNEL"] = saved
 
 
 def _delay_ns(delay):
@@ -322,28 +283,9 @@ class Timeout(Event):
         # Zero-delay timeouts fire at the current instant with NORMAL
         # priority; on the turbo tier they take the nlane FIFO instead
         # of a heap round-trip.  Real delays go through the priority
-        # queue; push directly rather than via _schedule.  On the
-        # vector tier the queue is the columnar store — an append to
-        # its staging columns, no tuple, no sequence number (arrival
-        # order is the sequence).
+        # queue; push directly rather than via _schedule.
         if delay == 0 and engine._nlane is not None:
             engine._nlane.append(self)
-            return
-        cq = engine._cq
-        if cq is not None:
-            # cq.push inlined for NORMAL priority: a NORMAL entry can
-            # never beat the staged minimum on a timestamp tie (URGENT
-            # sorts first) and never bumps the urgent count, so the
-            # push is three appends and one compare.
-            ts = engine._now + delay
-            cq._sts.append(ts)
-            cq._sprio.append(NORMAL)
-            cq._sev.append(self)
-            smin = cq._smin
-            if smin is None or ts < smin[0]:
-                cq._smin = (ts, NORMAL)
-            cq._n += 1
-            engine.heap_pushes += 1
             return
         heapq.heappush(
             engine._heap, (engine._now + delay, NORMAL, engine._seq, self)
@@ -463,7 +405,7 @@ class Process(Event):
         engine = self.engine
         send = self._send
         lane = engine._lane
-        turbo = engine._turbo
+        fast = engine._fast
         tramp = 0
         # _PENDING (never a generator's yield value) marks "no memo":
         # a plain None would false-match a process yielding None.
@@ -481,7 +423,7 @@ class Process(Event):
                 self._ok = True
                 self._value = stop.value
                 callbacks = self.callbacks
-                if (turbo and engine._solo_cb
+                if (fast and engine._solo_cb
                         and not lane and not engine._durgent
                         and callbacks is not None
                         and len(callbacks) == 1):
@@ -498,7 +440,7 @@ class Process(Event):
                 if tramp:
                     engine.events_processed += tramp
                     engine.lane_hits += tramp
-                if engine._fast:
+                if fast:
                     lane.append(self)
                 else:
                     engine._schedule(self, 0, URGENT)
@@ -510,7 +452,7 @@ class Process(Event):
                 if tramp:
                     engine.events_processed += tramp
                     engine.lane_hits += tramp
-                if engine._fast:
+                if fast:
                     lane.append(self)
                 else:
                     engine._schedule(self, 0, URGENT)
@@ -546,7 +488,7 @@ class Process(Event):
                 # time, urgently, so ordering stays deterministic).
                 if not result._ok:
                     result._defused = True
-                if (turbo and not lane and engine._solo_cb
+                if (fast and not lane and engine._solo_cb
                         and not engine._durgent):
                     # Trampoline (turbo tier): the resume record would
                     # be the lane's only entry, and with no URGENT heap
@@ -559,7 +501,7 @@ class Process(Event):
                     event = result
                     continue
                 engine._active = None
-                if engine._fast:
+                if fast:
                     record = [self._resume_cb, result]
                     lane.append(record)
                     self._target = record
@@ -573,7 +515,7 @@ class Process(Event):
                     engine._schedule(shim, 0, URGENT)
                     self._target = shim
             else:
-                if (turbo and not callbacks and lane
+                if (fast and not callbacks and lane
                         and lane[0] is result
                         and engine._solo_cb and not engine._durgent
                         and result._value is not _PENDING):
@@ -693,8 +635,8 @@ class Engine:
     """
 
     __slots__ = (
-        "_now", "_heap", "_lane", "_nlane", "_cq", "_seq", "_active",
-        "_fast", "_turbo", "_durgent", "_fire_urgent", "_solo_cb",
+        "_now", "_heap", "_lane", "_nlane", "_seq", "_active",
+        "_fast", "_durgent", "_fire_urgent", "_solo_cb",
         "events_processed", "heap_pushes", "lane_hits",
         "fault_log", "cp_cpus", "vaus",
     )
@@ -705,12 +647,10 @@ class Engine:
         self._lane = deque()
         self._seq = 0
         self._active = None
-        tier = kernel_tier()
-        self._fast = tier != "reference"
-        # Turbo tier and above: resume trampolining (see
-        # Process._resume).  The CP's block translator samples the
-        # tier itself.
-        self._turbo = tier in ("turbo", "vector")
+        # Turbo tier: the fast lane, resume records, and resume
+        # trampolining (see Process._resume).  The CP and the vector
+        # unit sample the tier themselves.
+        self._fast = kernel_tier() != "reference"
         # Turbo tier: FIFO for zero-delay NORMAL schedules (mostly
         # ``timeout(0)``).  They fire at the current instant after all
         # URGENT traffic and after any heap entries that reached the
@@ -719,14 +659,7 @@ class Engine:
         # predates (has a smaller would-be seq than) every nlane entry,
         # so "drain heap entries at now, then the nlane" reproduces the
         # heap order exactly — without the push/pop.
-        self._nlane = deque() if self._turbo else None
-        # Vector tier: the columnar SoA queue replaces the tuple heap
-        # entirely (``_heap`` stays empty); see repro.events.columnar.
-        if tier == "vector":
-            from repro.events.columnar import ColumnarQueue
-            self._cq = ColumnarQueue()
-        else:
-            self._cq = None
+        self._nlane = deque() if self._fast else None
         # True while dispatching an event that had exactly one callback
         # (set at every dispatch site).  The resume trampoline may only
         # run inline when no sibling callbacks of the firing event are
@@ -775,13 +708,9 @@ class Engine:
 
     @property
     def kernel_tier(self):
-        """This engine's tier: ``reference``, ``fast``, ``turbo``, or
-        ``vector`` (sampled from the environment at construction)."""
-        if not self._fast:
-            return "reference"
-        if self._cq is not None:
-            return "vector"
-        return "turbo" if self._turbo else "fast"
+        """This engine's tier: ``reference`` or ``turbo`` (sampled from
+        the environment at construction)."""
+        return "turbo" if self._fast else "reference"
 
     # -- scheduling ---------------------------------------------------
 
@@ -802,15 +731,6 @@ class Engine:
             raise ValueError(f"negative delay {delay!r}")
         if type(delay) is not int:
             delay = _delay_ns(delay)
-        cq = self._cq
-        if cq is not None:
-            # Vector tier: append to the columnar staging buffer.  The
-            # arrival position is the sequence number.
-            cq.push(self._now + delay, priority, event)
-            self.heap_pushes += 1
-            if priority == URGENT:
-                self._durgent += 1
-            return
         heapq.heappush(
             self._heap, (self._now + delay, priority, self._seq, event)
         )
@@ -845,9 +765,6 @@ class Engine:
         """Time of the next scheduled event, or None if the queue is empty."""
         if self._lane or self._nlane:
             return self._now
-        cq = self._cq
-        if cq is not None:
-            return cq.peek_time()
         return self._heap[0][0] if self._heap else None
 
     def _lane_first(self):
@@ -863,12 +780,6 @@ class Engine:
             return False
         if not self._durgent:
             return True
-        cq = self._cq
-        if cq is not None:
-            key = cq.peek_key()
-            return not (
-                key is not None and key[0] == self._now and key[1] == URGENT
-            )
         heap = self._heap
         return not (heap and heap[0][0] == self._now and heap[0][1] == URGENT)
 
@@ -877,7 +788,6 @@ class Engine:
 
         Raises :class:`DeadlockError` when the queue is empty.
         """
-        cq = self._cq
         if self._lane_first():
             entry = self._lane.popleft()
             self.events_processed += 1
@@ -890,24 +800,13 @@ class Engine:
                 return
             event = entry
         elif self._nlane and not (
-            cq.peek_time() == self._now if cq is not None
-            else (self._heap and self._heap[0][0] == self._now)
+            self._heap and self._heap[0][0] == self._now
         ):
             # Zero-delay NORMAL FIFO: fires at the current instant once
             # the lane is clear and no queue entry has reached ``now``.
             event = self._nlane.popleft()
             self.events_processed += 1
             self.lane_hits += 1
-        elif cq is not None:
-            if not cq._n:
-                raise DeadlockError("event queue empty")
-            when, prio, event = cq.pop()
-            if when < self._now:
-                raise SimulationError("time went backwards")  # pragma: no cover
-            if prio == URGENT:
-                self._durgent -= 1
-            self._now = when
-            self.events_processed += 1
         else:
             if not self._heap:
                 raise DeadlockError("event queue empty")
@@ -967,15 +866,12 @@ class Engine:
                 # entries at the current instant) do not fire.
                 return None
 
-        if self._cq is not None:
-            return self._run_columnar(until, until_time)
-
         # The hot loop.  Identical semantics to repeated step() calls,
         # with the dispatch inlined and hot names bound locally.
         heap = self._heap
         lane = self._lane
-        # () stands in for the absent nlane on non-turbo tiers: always
-        # falsy, so the nlane branch below is never taken.
+        # () stands in for the absent nlane on the reference tier:
+        # always falsy, so the nlane branch below is never taken.
         nlane = self._nlane if self._nlane is not None else ()
         heappop = heapq.heappop
         resume_cls = list
@@ -1038,247 +934,8 @@ class Engine:
             self._now = until_time
         return None
 
-    def _run_columnar(self, until, until_time):
-        """The vector-tier hot loop: :meth:`run` with the tuple heap
-        replaced by the columnar queue.
-
-        Arbitration is identical to the turbo loop (lane, then nlane,
-        then the time-ordered queue).  The extra trick is the
-        *streaming drain*: when the queue front is a sorted ready run
-        and the lane, nlane, retail heap, and staging buffer are all
-        empty, events without callbacks cannot run model code — they
-        cannot schedule, resume, interrupt, or stop anything — so a
-        consecutive run of them is popped in a tight loop with no
-        re-arbitration.  Pure timer floods (design-space sweeps, node
-        clocks) spend nearly all their pops there.  Observable
-        semantics (``now``, counters, exception propagation, ``until``
-        handling) are identical to the generic path.
-        """
-        from repro.events.columnar import BULK_THRESHOLD
-
-        cq = self._cq
-        lane = self._lane
-        nlane = self._nlane
-        heappop = heapq.heappop
-        resume_cls = list
-        processed = 0
-        lane_fired = 0
-        try:
-            while lane or nlane or cq._n:
-                if lane:
-                    if self._durgent:
-                        key = cq.peek_key()
-                        lane_next = not (
-                            key is not None
-                            and key[0] == self._now
-                            and key[1] == URGENT
-                        )
-                    else:
-                        lane_next = True
-                    if lane_next:
-                        entry = lane.popleft()
-                        processed += 1
-                        lane_fired += 1
-                        if entry.__class__ is resume_cls:
-                            callback = entry[0]
-                            if callback is not None:
-                                self._solo_cb = True
-                                callback(entry[1])
-                            continue
-                        event = entry
-                        callbacks, event.callbacks = event.callbacks, None
-                        if len(callbacks) == 1:
-                            self._solo_cb = True
-                            callbacks[0](event)
-                        else:
-                            self._solo_cb = False
-                            for callback in callbacks:
-                                callback(event)
-                        if not event._ok and not event._defused:
-                            raise event._value
-                        continue
-                if nlane and cq.peek_time() != self._now:
-                    event = nlane.popleft()
-                    processed += 1
-                    lane_fired += 1
-                else:
-                    # Columnar pop.  When the staging buffer's minimum
-                    # fires next, a *small* staged batch pops straight
-                    # out of the staging columns — the retail fast
-                    # path: no flush, no tuple, no heap traffic.  This
-                    # is where interleaved push/pop workloads (DMA,
-                    # collectives) live.  Large batches flush (bulk
-                    # sort or retail heap) and arbitrate as before.
-                    if cq._needs_flush():
-                        if len(cq._sts) < BULK_THRESHOLD:
-                            when = cq._smin[0]
-                            if until_time is not None and when >= until_time:
-                                self._now = until_time
-                                return None
-                            when, prio, event = cq.pop_staged()
-                            if prio == URGENT:
-                                self._durgent -= 1
-                            self._now = when
-                            processed += 1
-                            callbacks, event.callbacks = (
-                                event.callbacks, None
-                            )
-                            if len(callbacks) == 1:
-                                self._solo_cb = True
-                                callbacks[0](event)
-                            else:
-                                self._solo_cb = False
-                                for callback in callbacks:
-                                    callback(event)
-                            if not event._ok and not event._defused:
-                                raise event._value
-                            continue
-                        cq._flush()
-                    hp = cq._hp
-                    ri = cq._ri
-                    rts = cq._rts
-                    nrun = len(rts)
-                    use_run = ri < nrun
-                    if use_run and hp:
-                        head = hp[0]
-                        if (head[0], head[1], head[2]) < (
-                            rts[ri], cq._rprio[ri], cq._rseq[ri]
-                        ):
-                            use_run = False
-                    if (use_run and not hp and not lane and not nlane
-                            and not cq._sts):
-                        # Streaming drain (see docstring).  State is
-                        # committed in the finally block so an event
-                        # exception or an ``until`` return leaves the
-                        # queue exactly as per-pop bookkeeping would.
-                        rprio = cq._rprio
-                        rev = cq._rev
-                        event = None
-                        if self._durgent == 0 and (
-                            until_time is None
-                            or rts[nrun - 1] < until_time
-                        ):
-                            # Lean drain: no URGENT anywhere pending
-                            # and the run cannot reach ``until_time``,
-                            # so the per-event work is just the pop —
-                            # ``now`` advances once, at commit, to the
-                            # last drained timestamp (no model code
-                            # runs in between to observe it), and
-                            # side-table slots release wholesale at
-                            # run reset instead of per pop.
-                            start = ri
-                            try:
-                                while ri < nrun:
-                                    event = rev[ri]
-                                    if event.callbacks:
-                                        event = None
-                                        break
-                                    ri += 1
-                                    event.callbacks = None
-                                    if (not event._ok
-                                            and not event._defused):
-                                        raise event._value
-                            finally:
-                                drained = ri - start
-                                if drained:
-                                    self._now = rts[ri - 1]
-                                cq._ri = ri
-                                cq._n -= drained
-                                cq.array_pops += drained
-                                processed += drained
-                                if ri >= nrun:
-                                    cq._reset_run()
-                        else:
-                            drained = 0
-                            try:
-                                while ri < nrun:
-                                    event = rev[ri]
-                                    if event.callbacks:
-                                        event = None
-                                        break
-                                    when = rts[ri]
-                                    if (until_time is not None
-                                            and when >= until_time):
-                                        self._now = until_time
-                                        return None
-                                    rev[ri] = None
-                                    ri += 1
-                                    drained += 1
-                                    event.callbacks = None
-                                    if rprio[ri - 1] == URGENT:
-                                        self._durgent -= 1
-                                    self._now = when
-                                    if (not event._ok
-                                            and not event._defused):
-                                        raise event._value
-                            finally:
-                                cq._ri = ri
-                                cq._n -= drained
-                                cq.array_pops += drained
-                                processed += drained
-                                if ri >= nrun:
-                                    cq._reset_run()
-                        if event is not None:
-                            # Run exhausted; every event was drained
-                            # (callback-free) and fully dispatched.
-                            continue
-                        # The run's head has callbacks: fall through and
-                        # pop it on the generic path (``ri`` now indexes
-                        # that head; the finally block committed it).
-                    if use_run:
-                        when = rts[ri]
-                        if until_time is not None and when >= until_time:
-                            self._now = until_time
-                            return None
-                        prio = cq._rprio[ri]
-                        event = cq._rev[ri]
-                        cq._rev[ri] = None
-                        cq._ri = ri + 1
-                        cq._n -= 1
-                        cq.array_pops += 1
-                        if cq._ri >= nrun:
-                            cq._reset_run()
-                    elif hp:
-                        when = hp[0][0]
-                        if until_time is not None and when >= until_time:
-                            self._now = until_time
-                            return None
-                        when, prio, _seq, event = heappop(hp)
-                        cq._n -= 1
-                        cq.heap_pops += 1
-                    else:  # pragma: no cover - loop guard excludes this
-                        raise DeadlockError("event queue empty")
-                    if prio == URGENT:
-                        self._durgent -= 1
-                    self._now = when
-                    processed += 1
-                callbacks, event.callbacks = event.callbacks, None
-                if len(callbacks) == 1:
-                    self._solo_cb = True
-                    callbacks[0](event)
-                else:
-                    self._solo_cb = False
-                    for callback in callbacks:
-                        callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-        except StopSimulation as stop:
-            return stop.value
-        finally:
-            self.events_processed += processed
-            self.lane_hits += lane_fired
-        if isinstance(until, Event) and not until.triggered:
-            raise DeadlockError(
-                "run() target event never fired; model deadlocked"
-            )
-        if until_time is not None:
-            self._now = until_time
-        return None
-
     def __repr__(self):
         queued = len(self._heap) + len(self._lane)
         if self._nlane is not None:
             queued += len(self._nlane)
-        if self._cq is not None:
-            queued += len(self._cq)
         return f"<Engine now={self._now} queued={queued}>"

@@ -13,20 +13,19 @@ Public surface:
 
 import numpy as _np
 
-#: Minimum numpy for the vector kernel tier's batched paths (stable
-#: argsort/lexsort over int64 columns, consistent integer promotion).
-#: Keep in sync with pyproject.toml.
+#: Minimum numpy for the batched vector-chain paths (whole-chain
+#: subnormal screens, int64 timing arrays with consistent integer
+#: promotion).  Keep in sync with pyproject.toml.
 NUMPY_FLOOR = (1, 22)
 
 _np_version = tuple(int(p) for p in _np.__version__.split(".")[:2])
 if _np_version < NUMPY_FLOOR:
     raise ImportError(
         f"repro.fpu requires numpy >= {'.'.join(map(str, NUMPY_FLOOR))} "
-        f"(found {_np.__version__}): the vector kernel tier's batched "
-        "subnormal screens and columnar event sorts depend on stable "
-        "sort ordering and integer-promotion rules older releases do "
-        "not guarantee.  Upgrade numpy or pin the package per "
-        "pyproject.toml."
+        f"(found {_np.__version__}): the batched vector-chain "
+        "subnormal screens and timing arrays depend on integer-"
+        "promotion rules older releases do not guarantee.  Upgrade "
+        "numpy or pin the package per pyproject.toml."
     )
 
 from repro.fpu.ieee import BINARY32, BINARY64, Format, format_for

@@ -83,7 +83,7 @@ def vector_ns_array(base_cycles, lengths, cycle_ns: int) -> list:
     Returns ``(base + n) * cycle_ns`` per op as a list of Python ints,
     with 0 where ``n == 0``: exactly what per-op
     :meth:`PipelineTiming.vector_ns` calls would produce, in one numpy
-    pass.  This is the vector tier's "precomputed per-element timing
+    pass.  This is the turbo tier's "precomputed per-element timing
     array" — the micro-sequencer prices a whole queued chain of forms
     with a single affine evaluation.
     """

@@ -40,7 +40,7 @@ warnings.filterwarnings(
 )
 
 from repro.events import Mutex
-from repro.events.engine import slow_kernel_requested, vector_kernel_requested
+from repro.events.engine import slow_kernel_requested
 from repro.fpu.pipeline import reduction_drain_cycles, vector_ns_array
 from repro.fpu.units import FloatingAdder, FloatingMultiplier
 
@@ -277,11 +277,10 @@ class VectorArithmeticUnit:
         # for *any* n — exact, not bucketed, because the cost model is
         # affine in n.
         self._duration_base = {} if self._fast else None
-        # Vector tier: execute_chain computes queued chains in batch
+        # Turbo tier: execute_chain computes queued chains in batch
         # (one concatenated subnormal screen, one vectorized timing
-        # evaluation).  The other tiers run the identical chain
+        # evaluation); the reference kernel runs the identical chain
         # protocol with per-op dispatch.
-        self._batched = self._fast and vector_kernel_requested()
         #: Batched micro-sequencer counters (see engine_stats):
         #: chains executed, forms and elements computed through the
         #: batched path, and per-input flush calls elided by a clean
@@ -552,13 +551,13 @@ class VectorArithmeticUnit:
     def _chain_durations(self, entries, precision):
         """Per-op simulated durations for a queued chain.
 
-        The batched tier prices the whole chain with one vectorized
-        affine evaluation over memoized per-form bases; the other
-        tiers call :meth:`duration` per op.  Identical integers either
+        The turbo tier prices the whole chain with one vectorized
+        affine evaluation over memoized per-form bases; the reference
+        tier calls :meth:`duration` per op.  Identical integers either
         way — the cost model is affine in n, so batching changes how
         the arithmetic is issued, not its results.
         """
-        if not self._batched:
+        if not self._fast:
             return [self.duration(form.name, n, precision)
                     for form, _inputs, _scalars, n in entries]
         memo = self._duration_base
@@ -631,10 +630,11 @@ class VectorArithmeticUnit:
         requested once, completion fires once, and the per-op results
         come back as a list — the same event pattern, simulated
         timing, counter totals, and bit-exact values on every kernel
-        tier.  What differs per tier is the host arithmetic: the vector
+        tier.  What differs per tier is the host arithmetic: the turbo
         tier batches the chain (one vectorized timing evaluation, one
         whole-chain subnormal screen — see
-        :meth:`_compute_chain_batched`), the others dispatch per op.
+        :meth:`_compute_chain_batched`), the reference tier dispatches
+        per op.
 
         ``fused=False`` (the default) prices each op with its own
         pipeline fill — the historical queued-chain model.  ``fused=
@@ -684,17 +684,15 @@ class VectorArithmeticUnit:
         if fused:
             self.model_chains += 1
             self.model_chain_ops += len(entries)
-        if self._batched:
-            if has_refs:
-                return self._compute_chain_optimistic(
-                    entries, dtype, precision
-                )
-            return self._compute_chain_batched(entries, dtype, precision)
-        if not has_refs:
-            return [
-                self._compute_form(form, inputs, scalars, n, dtype, precision)
-                for form, inputs, scalars, n in entries
-            ]
+        if not self._fast:
+            return self._compute_chain_per_op(entries, dtype, precision)
+        if has_refs:
+            return self._compute_chain_optimistic(entries, dtype, precision)
+        return self._compute_chain_batched(entries, dtype, precision)
+
+    def _compute_chain_per_op(self, entries, dtype, precision):
+        """Screen and compute a chain one op at a time, resolving
+        :class:`ChainRef` inputs against the results so far."""
         results = []
         for form, inputs, scalars, n in entries:
             vecs = self._resolve_refs(inputs, results)
@@ -707,7 +705,7 @@ class VectorArithmeticUnit:
         """Batched compute for chains with :class:`ChainRef` dataflow.
 
         Dependent ops cannot be screened up front (an input may be a
-        result that does not exist yet), so the vector tier computes
+        result that does not exist yet), so the turbo tier computes
         the whole chain **optimistically** — no per-op screens — while
         pooling every memory-sourced input and every result.  One
         concatenated screen then settles it: if nothing in the pool is
@@ -715,7 +713,7 @@ class VectorArithmeticUnit:
         optimistic results are bit-identical to per-op dispatch (the
         overwhelmingly common case).  A dirty pool discards them and
         recomputes the chain per op with full screens — exactly the
-        dispatch the other tiers run.
+        dispatch the reference tier runs.
         """
         flush = self._flush
         tiny = _TINY_BITS[precision]
@@ -760,13 +758,7 @@ class VectorArithmeticUnit:
                 len(inputs) for _f, inputs, _s, _n in entries
             )
             return results
-        results = []
-        for form, inputs, scalars, n in entries:
-            vecs = self._resolve_refs(inputs, results)
-            results.append(
-                self._compute_form(form, vecs, scalars, n, dtype, precision)
-            )
-        return results
+        return self._compute_chain_per_op(entries, dtype, precision)
 
     def start_chain(self, ops, precision=64, fused=False):
         """Fire-and-forget: start a queued chain, return its event."""

@@ -9,7 +9,7 @@ faults that snapshots guard against.
 
 import numpy as np
 
-from repro.events.engine import turbo_kernel_requested
+from repro.events.engine import slow_kernel_requested
 
 #: Parity lookup: _PARITY_LUT[b] is the even-parity bit of byte b.
 _PARITY_LUT = np.array(
@@ -36,11 +36,10 @@ class ParityStore:
     Two equivalent representations, chosen at construction from the
     kernel tier (same sampling contract as the event engine):
 
-    * **eager** (reference/fast) — a real bit array: every write
+    * **eager** (reference) — a real bit array: every write
       recomputes parity, every read recomputes and compares, exactly
       like the hardware.
-    * **flip-set** (turbo and vector) — only the *discrepancies* are
-      stored.
+    * **flip-set** (turbo) — only the *discrepancies* are stored.
       :meth:`check` always receives the bytes currently held by the
       memory (that is how :class:`~repro.memory.dram.DualPortMemory`
       calls it), so without injected faults the stored parity equals
@@ -55,8 +54,9 @@ class ParityStore:
         if size <= 0:
             raise ValueError("parity store needs a positive size")
         self.size = size
-        self._bits = None if turbo_kernel_requested() else np.zeros(
-            size, dtype=np.uint8
+        self._bits = (
+            np.zeros(size, dtype=np.uint8) if slow_kernel_requested()
+            else None
         )
         self._flips = set()
         #: Count of parity checks performed (reads).

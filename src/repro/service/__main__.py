@@ -43,6 +43,7 @@ import json
 import sys
 
 from repro.analysis import service_stats, service_stats_table
+from repro.events.engine import KERNEL_TIERS
 from repro.service.api import load_batch, run_batch
 from repro.service.cache import ResultCache
 from repro.service.jobkey import JobSpec, job_key
@@ -257,8 +258,7 @@ def _add_job_arguments(parser):
                         help="registered workload kind (cp, events, "
                         "occam, vector, faults, golden, bench.*)")
     parser.add_argument("--spec", help="workload spec as JSON")
-    parser.add_argument("--tier", choices=("reference", "fast",
-                                           "turbo"),
+    parser.add_argument("--tier", choices=KERNEL_TIERS,
                         help="kernel tier (default: ambient)")
     parser.add_argument("--config", help="machine config as JSON "
                         "(key-affecting; handed to takes='job' "

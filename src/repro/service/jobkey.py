@@ -159,10 +159,12 @@ def job_key(job: JobSpec, semantics=None) -> str:
 
     ``semantics`` overrides the golden-set fingerprint (tests); the
     runner fingerprint is looked up from the workload registry, so the
-    kind must be registered before its jobs can be addressed.
+    kind must be registered — and the tier must be a kernel tier this
+    build runs — before its jobs can be addressed.
     """
     from repro.service import workloads
     job = job.resolved()
+    workloads.check_tier(job.tier)
     document = {
         "schema": JOB_KEY_SCHEMA_VERSION,
         "semantics": semantics or semantics_fingerprint(),

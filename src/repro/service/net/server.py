@@ -405,8 +405,7 @@ class ServiceServer:
                         "request", f"unknown method {method!r}")))
         except UnknownWorkloadError as exc:
             await self._send_frame(writer, error_response(
-                request_id, {"error": "unknown_kind",
-                             "message": str(exc)}))
+                request_id, {"error": exc.code, "message": str(exc)}))
         except (AuthError, AdmissionError, JobTimeout,
                 UnknownKeyError, ProtocolError) as exc:
             await self._send_frame(writer,
@@ -563,7 +562,7 @@ class ServiceServer:
             await self._write_http(writer, 503, exc.as_json())
         except UnknownWorkloadError as exc:
             await self._write_http(writer, 400, {
-                "error": "unknown_kind", "message": str(exc)})
+                "error": exc.code, "message": str(exc)})
         except UnknownKeyError as exc:
             await self._write_http(writer, 404, exc.as_json())
         except (ValueError, TypeError, KeyError) as exc:
@@ -656,8 +655,7 @@ class ServiceServer:
                 if not batch:
                     raise
                 if isinstance(exc, UnknownWorkloadError):
-                    error = {"error": "unknown_kind",
-                             "message": str(exc)}
+                    error = {"error": exc.code, "message": str(exc)}
                 else:
                     error = exc.as_json()
                 records.append({"status": "rejected",

@@ -62,7 +62,7 @@ from repro.service.cache import ResultCache
 from repro.service.jobkey import JobSpec, job_key, payload_digest
 from repro.service.journal import JobJournal
 from repro.service.tenants import TenantTable
-from repro.service.workloads import execute_job
+from repro.service.workloads import UnknownTierError, execute_job
 
 #: Terminal future states.
 _DONE_STATES = ("done", "cached", "failed", "cancelled", "rejected",
@@ -363,13 +363,16 @@ class SimulationService:
         (priority, seq) so drain order is what it would have been;
         completed jobs whose cache entry is gone are re-enqueued too
         (counted ``done_cache_missing``) so every journaled job is
-        still delivered after a restart.
+        still delivered after a restart.  A job journaled under a
+        kernel tier this build no longer runs cannot be addressed; it
+        is dropped and counted ``unaddressable``.
         """
         replay = self.journal.replay()
         stats = dict(replay.stats)
         stats["recovered_pending"] = 0
         stats["done_in_cache"] = 0
         stats["done_cache_missing"] = 0
+        stats["unaddressable"] = 0
         entries = list(replay.pending())
         for key, entry in replay.entries.items():
             if entry["status"] != "done":
@@ -392,7 +395,11 @@ class SimulationService:
                     seed=payload.get("seed"), opt=payload.get("opt"),
                     tenant=entry.get("tenant"),
                 )
-                key = job_key(job)
+                try:
+                    key = job_key(job)
+                except UnknownTierError:
+                    stats["unaddressable"] += 1
+                    continue
                 if key in self._inflight:
                     continue
                 future = JobFuture(self, job, key, entry["priority"],

@@ -28,6 +28,25 @@ from repro.events.engine import KERNEL_TIERS, force_kernel
 class UnknownWorkloadError(KeyError):
     """Raised when a job names a kind nobody registered."""
 
+    #: The structured error code the network front-end answers with.
+    code = "unknown_kind"
+
+
+class UnknownTierError(UnknownWorkloadError):
+    """Raised when a job names a kernel tier this build does not run
+    (it is unaddressable the same way an unregistered kind is)."""
+
+    code = "unknown_tier"
+
+
+def check_tier(tier):
+    """Raise :class:`UnknownTierError` unless ``tier`` is one of
+    :data:`~repro.events.engine.KERNEL_TIERS`."""
+    if tier not in KERNEL_TIERS:
+        raise UnknownTierError(
+            f"unknown kernel tier {tier!r}; known: {list(KERNEL_TIERS)}"
+        )
+
 
 class _Runner:
     __slots__ = ("fn", "fingerprint", "takes")
@@ -143,8 +162,7 @@ def execute_job(payload: dict):
     what the worker's ambient environment says.
     """
     tier = payload["tier"]
-    if tier not in KERNEL_TIERS:
-        raise ValueError(f"unknown kernel tier {tier!r}")
+    check_tier(tier)
     runner = resolve(payload["kind"])
     with force_kernel(tier=tier):
         if runner.takes == "job":

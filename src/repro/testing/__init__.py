@@ -1,12 +1,12 @@
 """Differential testing of the simulator's kernel tiers.
 
-The simulator keeps four implementations of its hot paths: the
+The simulator keeps two implementations of its hot paths: the
 ``REPRO_SLOW_KERNEL=1`` reference kernel (pure heap, byte-at-a-time
-decode, per-call timing), the fast kernel (same-timestamp fast lane,
-decoded-instruction cache, memoized vector timing), the default turbo
-kernel (resume trampolines, basic-block translation), and the
-``REPRO_VECTOR_KERNEL=1`` vector kernel (columnar SoA event queue,
-batched vector-form chains).  They must be observationally identical.
+decode, per-call timing, per-op vector arithmetic) and the default
+turbo kernel (same-timestamp fast lane, resume trampolines,
+decoded-instruction cache and basic-block translation, memoized
+timing and batched vector-form chains).  They must be observationally
+identical.
 This package enforces that with seven generative fuzzers (CP-ISA
 programs, Occam programs, event schedules, vector workloads, fault
 schedules, machine-room chaos schedules attacking the
@@ -20,7 +20,7 @@ Entry points:
 
 - ``python -m repro.testing.fuzz`` — fuzzing campaign CLI.
 - :func:`repro.testing.oracle.differential` — run one scenario on
-  every kernel tier and diff the outcomes against the reference.
+  both kernel tiers and diff the turbo outcome against the reference.
 - :mod:`repro.testing.golden` — pinned canonical traces.
 """
 

@@ -282,7 +282,7 @@ def execute(spec: dict) -> dict:
                                bytes([patch["byte"]]))
                 applied += 1
         # The turbo tier must hand control back at the same chain
-        # boundaries this loop observes on the other tiers: the next
+        # boundaries this loop observes on the reference tier: the next
         # patch point and the byte budget.
         barrier = MAX_STEP_BYTES
         if applied < len(patches):

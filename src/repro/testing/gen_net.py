@@ -18,7 +18,7 @@ byte-identical to clean direct execution.
 
 Job payloads are the pure arithmetic of
 :func:`repro.testing.gen_service._pure_payload` with the tier pinned,
-so the differential oracle running each case under all four kernel
+so the differential oracle running each case under both kernel
 tiers checks *serving determinism* — same attacks, same final
 digests — rather than kernel agreement.  Outcomes deliberately
 record only stable facts (per-job ``ok``, per-attack ``ok``,

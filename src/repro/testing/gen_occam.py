@@ -12,7 +12,7 @@ Every case is also an optimizer conformance test: :func:`execute`
 compiles the program twice — naively and at ``-O2`` through
 :mod:`repro.occam.optimizer` — and runs both binaries, warm-starting
 the optimized one from an ahead-of-time block table on the
-block-translating tiers.  The optimized run's full state rides in the
+block-translating turbo tier.  The optimized run's full state rides in the
 outcome (so the oracle tier-compares *it* bit-exactly too), and
 :func:`invariant` checks the two compiles agree on everything the
 source program can observe: how it stopped, every variable's final
@@ -63,9 +63,9 @@ from repro.occam.compiler import (
 )
 
 #: Execution budget in executed code *bytes* — the unit that advances
-#: identically on all four kernel tiers (a step() call executes one
-#: byte, one chain, or one translated block depending on the tier, so
-#: a step-count budget would stop each tier at a different point).
+#: identically on both kernel tiers (a step() call executes one byte,
+#: one chain, or one translated block depending on the tier, so a
+#: step-count budget would stop each tier at a different point).
 MAX_STEP_BYTES = 400_000
 
 _SAFE_OPS = ("add", "sub", "mul", "and", "or", "xor")
@@ -280,12 +280,12 @@ def _run_code(code, aot_payload=None):
     """Run assembled code on the current tier; returns (cpu, stopped).
 
     ``aot_payload`` warm-starts a block-translating CPU from a
-    pre-compiled table (ignored on the other tiers), so every fuzz
+    pre-compiled table (ignored on the reference tier), so every fuzz
     case also checks that an ahead-of-time load is bit-identical to
     runtime translation.
     """
     cpu = CPU(code)
-    if aot_payload is not None and cpu._use_blocks:
+    if aot_payload is not None and cpu._use_cache:
         cpu.import_blocks(aot_payload)
     stopped = "budget"
     cpu.step_barrier = MAX_STEP_BYTES

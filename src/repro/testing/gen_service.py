@@ -14,7 +14,7 @@ with a payload digest byte-identical to a clean direct execution.
 The job payloads themselves are pure arithmetic
 (:func:`run_job`, registered as the ``service.chaos`` workload kind),
 so outcomes are kernel-tier independent: the differential oracle
-running a case on all four tiers checks *service determinism* — same
+running a case on both tiers checks *service determinism* — same
 chaos schedule, same journal bytes, same final statuses and digests —
 rather than kernel agreement.  Chaos side effects (crash once, kill
 once) are gated on marker files under ``REPRO_CHAOS_DIR`` so the spec

@@ -13,9 +13,9 @@ FLOP/busy-time counters.
 
 Specs may also carry queued **chains** (``execute_chain``): long runs
 of forms, mixed 32/64-bit across chains, with subnormal specials
-salted per op — the traffic that stresses the vector tier's batched
+salted per op — the traffic that stresses the turbo tier's batched
 micro-sequencer (one whole-chain subnormal screen, vectorized timing)
-against the other tiers' per-op dispatch.  Shrinking peels ops out of
+against the reference tier's per-op dispatch.  Shrinking peels ops out of
 chains and chains out of specs like any other ddmin axis.
 
 A third axis, **node_chains**, drives the model layer above the VAU:
@@ -27,7 +27,7 @@ placeholders), and row stores, dispatched as ONE fused pipeline
 seeds, subnormal/NaN specials salted per row, precision mixed across
 chains.  The outcome records every op result, the final register and
 stored-row bit patterns, the fused elapsed time, and the chain-model
-counters — so the four-way oracle pins the whole load/op/store
+counters — so the two-way oracle pins the whole load/op/store
 pipeline, not just the arithmetic.  Node chains shrink like the other
 axes: drop a chain, drop a step, halve the vector length, de-salt a
 row.

@@ -2,14 +2,14 @@
 
 A small registry of canonical workloads — one per major subsystem —
 each of which produces a deterministic JSON-able trace.  The traces
-are pinned under ``tests/golden/`` and checked against every kernel
-tier on every run: reference vs. stored, fast vs. stored, turbo
-vs. stored — and hence (implicitly) every tier against every other
-tier.  Any behavioural drift in the event engine, the CP
-interpreter, the Occam compiler, the vector timing model, the
-gather/scatter engine, or the fault-recovery orchestration shows up
-as a diff against a file in version control, where it can be reviewed
-and — if intentional — regenerated with ``scripts/regen_golden.py``.
+are pinned under ``tests/golden/`` and checked against both kernel
+tiers on every run: reference vs. stored and turbo vs. stored — and
+hence (implicitly) turbo against reference.  Any behavioural drift in
+the event engine, the CP interpreter, the Occam compiler, the vector
+timing model, the gather/scatter engine, or the fault-recovery
+orchestration shows up as a diff against a file in version control,
+where it can be reviewed and — if intentional — regenerated with
+``scripts/regen_golden.py``.
 
 Unlike the fuzzer, which samples fresh behaviour every run, the golden
 suite pins *specific* behaviour forever: the same seven workloads, the

@@ -1,16 +1,14 @@
-"""The differential oracle: run a case on every kernel tier, compare.
+"""The differential oracle: run a case on both kernel tiers, compare.
 
-PR 1 split the simulator into a fast path (URGENT fast lane, decoded-
-instruction cache, memoized vector-form timing) and a
-``REPRO_SLOW_KERNEL=1`` reference path; the turbo tier (basic-block
-translation, resume trampolining) made it three, and the vector tier
-(columnar SoA event queue, batched vector forms) makes it four, with
-the contract that all tiers produce bit-identical architectural
-results.  This module is the machinery that checks the contract
-mechanically: a *case* is a JSON-able spec plus an
-``execute(spec) -> outcome`` function; the oracle executes it once
-under each tier and structurally diffs every optimized tier's outcome
-against the reference tier's.
+The simulator keeps a ``REPRO_SLOW_KERNEL=1`` reference tier (pure
+heap, byte-at-a-time decode, per-op vector arithmetic) beside the
+default turbo tier (fast lane, resume trampolining, basic-block
+translation, batched vector chains), with the contract that both
+produce bit-identical architectural results.  This module is the
+machinery that checks the contract mechanically: a *case* is a
+JSON-able spec plus an ``execute(spec) -> outcome`` function; the
+oracle executes it once under each tier and structurally diffs the
+turbo outcome against the reference outcome.
 
 Outcomes are plain JSON-able data (dicts/lists/ints/strings): the
 generators serialise floats as bit patterns and memory as digests, so
@@ -25,22 +23,15 @@ from repro.events.engine import force_kernel
 
 @dataclass
 class DiffReport:
-    """Result of one differential execution.
-
-    ``slow`` holds the reference-tier outcome; ``fast``, ``turbo``,
-    and ``vector`` the optimized tiers' outcomes (``turbo``/``vector``
-    are ``None`` when fewer tiers were compared, e.g. in unit tests
-    that build reports by hand).
-    """
+    """Result of one differential execution: the reference-tier and
+    turbo-tier outcomes and where they differ."""
 
     diverged: bool
     #: Human-readable paths into the outcome where the kernels differ,
-    #: each prefixed with the diverging tier's name.
+    #: each prefixed with the tier it concerns.
     details: list = field(default_factory=list)
-    fast: object = None
-    slow: object = None
+    reference: object = None
     turbo: object = None
-    vector: object = None
 
     def summary(self, limit: int = 5) -> str:
         if not self.diverged:
@@ -91,51 +82,29 @@ def diff_outcomes(fast, slow, path="$") -> list:
 
 
 def differential(execute, spec, invariant=None) -> DiffReport:
-    """Execute ``spec`` on every kernel tier and diff vs reference.
+    """Execute ``spec`` on both kernel tiers and diff turbo against
+    reference.
 
-    Runs the reference tier once, then each optimized tier (fast,
-    turbo, vector), diffing every optimized outcome against the
-    reference outcome.  ``execute`` must build its entire scenario
-    (engines, CPUs, vector units) from scratch inside the call — the
-    kernel choice is sampled at construction time, and any object
-    smuggled in from outside would carry the wrong kernel.
+    ``execute`` must build its entire scenario (engines, CPUs, vector
+    units) from scratch inside the call — the kernel choice is sampled
+    at construction time, and any object smuggled in from outside
+    would carry the wrong kernel.
 
     ``invariant``, when given, is an ``outcome -> [problem, ...]``
-    check applied to every tier's outcome — for properties that must
+    check applied to each tier's outcome — for properties that must
     hold *within* one execution rather than between tiers (e.g. an
     optimized compile of the same program reaching the same result).
     Invariant problems count as divergences and are reported with the
     tier they occurred on.
     """
-    with force_kernel(tier="reference"):
-        slow = execute(spec)
-    with force_kernel(tier="fast"):
-        fast = execute(spec)
-    with force_kernel(tier="turbo"):
+    with force_kernel("reference"):
+        reference = execute(spec)
+    with force_kernel("turbo"):
         turbo = execute(spec)
-    with force_kernel(tier="vector"):
-        vector = execute(spec)
-    details = [f"fast {d}" for d in diff_outcomes(fast, slow)]
-    details += [f"turbo {d}" for d in diff_outcomes(turbo, slow)]
-    details += [f"vector {d}" for d in diff_outcomes(vector, slow)]
+    details = [f"turbo {d}" for d in diff_outcomes(turbo, reference)]
     if invariant is not None:
-        for tier, outcome in (("reference", slow), ("fast", fast),
-                              ("turbo", turbo), ("vector", vector)):
+        for tier, outcome in (("reference", reference), ("turbo", turbo)):
             details += [f"{tier} invariant: {problem}"
                         for problem in invariant(outcome)]
-    return DiffReport(bool(details), details, fast, slow, turbo, vector)
+    return DiffReport(bool(details), details, reference, turbo)
 
-
-def check_execution_error(execute, spec):
-    """Run ``execute`` under the fast kernel, translating any exception
-    into an ``{"error": ...}`` outcome.
-
-    Generators use this to keep *expected* model errors (deadlock,
-    step-budget exhaustion) inside the comparable outcome instead of
-    aborting the fuzz run — an error message that differs between
-    kernels is itself a divergence worth reporting.
-    """
-    try:
-        return execute(spec)
-    except Exception as exc:  # pragma: no cover - generator guardrail
-        return {"error": f"{type(exc).__name__}: {exc}"}

@@ -16,7 +16,7 @@ from repro.cp import CPU, assemble
 from repro.cp.isa import CYCLE_COSTS
 from repro.events import Engine, Interrupt
 from repro.events.channel import Channel, Store
-from repro.events.engine import KERNEL_TIERS, Timeout, URGENT
+from repro.events.engine import Timeout, URGENT
 from repro.events.resources import Resource, hold
 from repro.testing import gen_cp
 from repro.testing.oracle import differential
@@ -82,22 +82,9 @@ def _mixed_workload():
     return eng, trace
 
 
-def _in_mode(monkeypatch, slow, fn):
-    if slow:
-        monkeypatch.setenv("REPRO_SLOW_KERNEL", "1")
-    else:
-        monkeypatch.delenv("REPRO_SLOW_KERNEL", raising=False)
-    monkeypatch.delenv("REPRO_VECTOR_KERNEL", raising=False)
-    return fn()
-
-
 def _in_tier(monkeypatch, tier, fn):
     monkeypatch.setenv("REPRO_SLOW_KERNEL",
                        "1" if tier == "reference" else "0")
-    monkeypatch.setenv("REPRO_TURBO_KERNEL",
-                       "1" if tier == "turbo" else "0")
-    monkeypatch.setenv("REPRO_VECTOR_KERNEL",
-                       "1" if tier == "vector" else "0")
     return fn()
 
 
@@ -105,11 +92,10 @@ class TestKernelEquivalence:
     def test_mixed_workload_trace_identical(self, monkeypatch):
         eng_ref, ref = _in_tier(monkeypatch, "reference", _mixed_workload)
         assert not eng_ref.fast_kernel
-        for tier in ("fast", "turbo"):
-            eng, trace = _in_tier(monkeypatch, tier, _mixed_workload)
-            assert eng.fast_kernel
-            assert trace == ref
-            assert eng.now == eng_ref.now
+        eng, trace = _in_tier(monkeypatch, "turbo", _mixed_workload)
+        assert eng.fast_kernel
+        assert trace == ref
+        assert eng.now == eng_ref.now
 
     def test_run_until_time_identical(self, monkeypatch):
         def run(until):
@@ -127,9 +113,8 @@ class TestKernelEquivalence:
 
         for until in (1, 7, 50, 70):
             ref = _in_tier(monkeypatch, "reference", lambda: run(until))
-            for tier in ("fast", "turbo"):
-                assert _in_tier(monkeypatch, tier,
-                                lambda: run(until)) == ref
+            assert _in_tier(monkeypatch, "turbo",
+                            lambda: run(until)) == ref
 
 
 class TestTimeoutRounding:
@@ -192,8 +177,7 @@ class TestDecodedCache:
     def test_cache_matches_reference_interpreter(self, monkeypatch):
         ref = _in_tier(monkeypatch, "reference", self._run)
         assert ref[0] == 30  # 10 iterations of +3
-        for tier in ("fast", "turbo"):
-            assert _in_tier(monkeypatch, tier, self._run) == ref
+        assert _in_tier(monkeypatch, "turbo", self._run) == ref
 
     def test_cache_populated_only_on_fast_path(self, monkeypatch):
         monkeypatch.delenv("REPRO_SLOW_KERNEL", raising=False)
@@ -214,8 +198,8 @@ class TestDecodedCache:
         cpu = CPU(prog.code)
         cpu.run()
         assert cpu.areg == 12
-        # Populated by the first run: decoded chains (fast tier)
-        # or translated blocks (turbo tier).
+        # Populated by the first run: decoded chains or translated
+        # blocks.
         assert cpu._decoded or cpu._blocks
 
         patched = bytearray(assemble("ldc 5\nldc 9\nadd\nterminate").code)
@@ -288,25 +272,23 @@ class TestTurboBlocks:
 
     def test_mid_block_patch_reexecutes_identically(self, monkeypatch):
         """A patch landing mid-block must invalidate the translated
-        block and re-execute bit-identically on all three tiers."""
+        block and re-execute bit-identically on both tiers."""
         report = differential(gen_cp.execute, _MID_BLOCK_PATCH_SPEC)
         assert not report.diverged, report.summary()
         assert report.turbo["patches_applied"] == 2
 
     def test_mid_block_patch_invalidates_block(self, monkeypatch):
         monkeypatch.setenv("REPRO_SLOW_KERNEL", "0")
-        monkeypatch.setenv("REPRO_TURBO_KERNEL", "1")
-        monkeypatch.setenv("REPRO_VECTOR_KERNEL", "0")
         state, cpu = self._run_with_patches(_MID_BLOCK_PATCH_SPEC)
         # The pad loop really was translated and re-translated: each
         # patch overlapped a live block and dropped it.
         assert cpu.block_translations >= 2
         assert cpu.block_invalidations >= 2
         assert cpu.block_hits > 0
-        monkeypatch.setenv("REPRO_TURBO_KERNEL", "0")
-        fast_state, fast_cpu = self._run_with_patches(_MID_BLOCK_PATCH_SPEC)
-        assert fast_cpu.block_translations == 0
-        assert state == fast_state
+        monkeypatch.setenv("REPRO_SLOW_KERNEL", "1")
+        ref_state, ref_cpu = self._run_with_patches(_MID_BLOCK_PATCH_SPEC)
+        assert ref_cpu.block_translations == 0
+        assert state == ref_state
 
     def test_block_counters_and_tier_reported(self, monkeypatch):
         def run():
@@ -321,12 +303,6 @@ class TestTurboBlocks:
         assert stats["block_hits"] > 0
         assert stats["block_chains"] >= 2 * stats["block_translations"]
 
-        fast = _in_tier(monkeypatch, "fast", run)
-        stats = fast.cache_stats()
-        assert stats["kernel_tier"] == "fast"
-        assert stats["block_translations"] == 0
-        assert stats["decoded_hits"] > 0
-
         ref = _in_tier(monkeypatch, "reference", run)
         stats = ref.cache_stats()
         assert stats["kernel_tier"] == "reference"
@@ -334,8 +310,6 @@ class TestTurboBlocks:
 
     def test_step_barrier_pauses_block_at_chain_boundary(self, monkeypatch):
         monkeypatch.setenv("REPRO_SLOW_KERNEL", "0")
-        monkeypatch.setenv("REPRO_TURBO_KERNEL", "1")
-        monkeypatch.setenv("REPRO_VECTOR_KERNEL", "0")
         # Eight single-byte safe instructions then terminate: one block.
         cpu = CPU(assemble("ldc 1\nadc 1\nadc 1\nadc 1\n"
                            "adc 1\nadc 1\nadc 1\nadc 1\nterminate").code)
@@ -355,8 +329,6 @@ class TestTurboBlocks:
         returns — a drifting handler cost would silently skew turbo
         cycle counts."""
         monkeypatch.setenv("REPRO_SLOW_KERNEL", "0")
-        monkeypatch.setenv("REPRO_TURBO_KERNEL", "1")
-        monkeypatch.setenv("REPRO_VECTOR_KERNEL", "0")
 
         def fresh():
             cpu = CPU(assemble("terminate").code)
@@ -441,19 +413,6 @@ class TestEngineStats:
             "block_invalidations": 0,
         }
 
-        stats = self._cp_stats(monkeypatch, "fast")
-        assert stats["kernel_tier"] == "fast"
-        assert stats["cp_cache"] == {
-            "cpus": 1,
-            "decoded_hits": 80,
-            "decoded_misses": 15,
-            "decoded_invalidations": 0,
-            "block_hits": 0,
-            "block_translations": 0,
-            "block_chains": 0,
-            "block_invalidations": 0,
-        }
-
         stats = self._cp_stats(monkeypatch, "reference")
         assert stats["kernel_tier"] == "reference"
         cache = stats["cp_cache"]
@@ -462,8 +421,6 @@ class TestEngineStats:
 
     def test_stats_table_includes_cp_cache_rows(self, monkeypatch):
         monkeypatch.setenv("REPRO_SLOW_KERNEL", "0")
-        monkeypatch.setenv("REPRO_TURBO_KERNEL", "1")
-        monkeypatch.setenv("REPRO_VECTOR_KERNEL", "0")
         from repro.core.specs import PAPER_SPECS
 
         eng = Engine()

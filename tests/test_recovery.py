@@ -245,8 +245,8 @@ class TestFaultTolerantRun:
                     "digest": workload.digest(run),
                     "fault_log": eng.fault_log.as_json()}
 
-        with force_kernel(slow=False):
-            fast = json.loads(json.dumps(story()))
-        with force_kernel(slow=True):
-            slow = json.loads(json.dumps(story()))
-        assert fast == slow
+        with force_kernel("turbo"):
+            turbo = json.loads(json.dumps(story()))
+        with force_kernel("reference"):
+            reference = json.loads(json.dumps(story()))
+        assert turbo == reference

@@ -20,6 +20,7 @@ from repro.service import (
     JobSpec,
     ResultCache,
     SimulationService,
+    UnknownWorkloadError,
     payload_digest,
 )
 from repro.service.journal import _frame, _parse
@@ -166,6 +167,29 @@ def test_unfinished_jobs_requeue_in_priority_fifo_order(tmp_path):
     assert labels == ["hi", "mid", "low"]
     revived.drain()
     assert all(f.status == "done" for f in revived.recovered)
+
+
+def test_unknown_tier_is_refused_before_the_journal(tmp_path):
+    service = _service(tmp_path)
+    job = JobSpec(kind="service.chaos",
+                  spec={"label": "a", "x": 1, "rounds": 3}, tier="vector")
+    with pytest.raises(UnknownWorkloadError) as err:
+        service.submit(job)
+    assert err.value.code == "unknown_tier"
+    assert service.journal.replay().entries == {}
+
+
+def test_replay_drops_jobs_on_a_retired_tier(tmp_path):
+    service = _service(tmp_path)
+    service.submit(_chaos_job("kept", 1))
+    retired = dict(_chaos_job("retired", 2).payload(), tier="vector")
+    service.journal.append("SUBMIT", "retired-key", seq=99, priority=0,
+                           job=retired)
+    del service  # never drained: "crash"
+
+    revived = _service(tmp_path)
+    assert revived.journal_replay["unaddressable"] == 1
+    assert [f.job.spec["label"] for f in revived.recovered] == ["kept"]
 
 
 def test_done_with_evicted_cache_entry_reexecutes(tmp_path):

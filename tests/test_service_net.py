@@ -9,6 +9,7 @@ import zlib
 
 import pytest
 
+from repro.events.engine import KERNEL_TIERS
 from repro.service import (
     JobSpec,
     ResultCache,
@@ -37,8 +38,6 @@ VEC_SPEC = {
     "ops": [{"form": "VADD", "n": 8, "precision": 64, "seed": 3,
              "scalars": [], "specials": False}],
 }
-
-ALL_TIERS = ("reference", "fast", "turbo", "vector")
 
 
 def vec_job(tier="turbo", seed=3):
@@ -209,7 +208,7 @@ def test_remote_submit_round_trips_all_tiers(server, service):
     """The acceptance bar: remote submit/wait must be byte-identical
     to in-process execution for the same job key, on every tier."""
     with client_for(server) as client:
-        for tier in ALL_TIERS:
+        for tier in KERNEL_TIERS:
             job = vec_job(tier=tier)
             record = client.submit(job, wait=60)
             assert record["status"] in ("done", "cached")
@@ -243,6 +242,16 @@ def test_remote_unknown_kind_is_structured(server):
         with pytest.raises(RemoteJobError) as err:
             client.submit({"kind": "no.such.kind"}, wait=5)
     assert err.value.code == "unknown_kind"
+
+
+def test_remote_unknown_tier_is_structured(server, service):
+    """A tier this build does not run is refused at submit, before
+    anything is admitted or journaled — not failed in a worker."""
+    with client_for(server) as client:
+        with pytest.raises(RemoteJobError) as err:
+            client.submit(vec_job(tier="vector"), wait=5)
+    assert err.value.code == "unknown_tier"
+    assert service.submissions == 0
 
 
 def test_streaming_submit_pushes_lifecycle_then_result(server):

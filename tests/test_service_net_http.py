@@ -132,6 +132,14 @@ def test_unknown_kind_is_structured_400(server):
     assert json.loads(reply)["error"] == "unknown_kind"
 
 
+def test_unknown_tier_is_structured_400(server, service):
+    status, reply = simple(server, "POST", "/jobs", body=json.dumps(
+        {"kind": "vector", "spec": VEC_SPEC, "tier": "vector"}))
+    assert status == 400
+    assert json.loads(reply)["error"] == "unknown_tier"
+    assert service.submissions == 0
+
+
 def test_method_not_allowed_is_405(server):
     status, reply = simple(server, "DELETE", "/jobs")
     assert status == 405
@@ -155,6 +163,21 @@ def test_batch_submit_reports_per_job_rejections(server):
     assert records[0]["status"] in ("done", "cached")
     assert records[1]["status"] == "rejected"
     assert records[1]["error"]["error"] == "unknown_kind"
+
+
+def test_batch_submit_rejects_only_the_unknown_tier(server, service):
+    body = json.dumps({"jobs": [
+        {"kind": "vector", "spec": VEC_SPEC, "tier": "vector"},
+        {"kind": "vector", "spec": VEC_SPEC, "tier": "turbo"},
+    ]})
+    status, reply = simple(server, "POST", "/jobs?wait=60",
+                           body=body)
+    assert status == 200
+    records = json.loads(reply)["jobs"]
+    assert records[0]["status"] == "rejected"
+    assert records[0]["error"]["error"] == "unknown_tier"
+    assert records[1]["status"] in ("done", "cached")
+    assert service.submissions == 1
 
 
 def test_chunked_stream_ends_with_result(server):

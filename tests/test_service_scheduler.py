@@ -63,9 +63,8 @@ def test_end_to_end_matches_direct_execution(service):
 def test_execute_job_pins_the_addressed_tier():
     payload = JobSpec(kind="vector", spec=VEC_SPEC,
                       tier="reference").payload()
-    # Ambient tier is a fast tier (turbo by default; conformance runs
-    # force others); the job must still run on the reference tier its
-    # key was addressed under.
+    # Ambient tier is turbo (the default); the job must still run on
+    # the reference tier its key was addressed under.
     assert kernel_tier() != "reference"
     reference = execute_job(payload)
     turbo = execute_job(JobSpec(kind="vector", spec=VEC_SPEC,

@@ -69,7 +69,7 @@ class TestGeneratorDeterminism:
     def test_execute_is_deterministic_on_one_kernel(self, name):
         generator = GENERATORS[name]
         spec = generator.generate(random.Random(99))
-        with force_kernel(slow=False):
+        with force_kernel("turbo"):
             first = json.loads(json.dumps(generator.execute(spec)))
             second = json.loads(json.dumps(generator.execute(spec)))
         assert first == second
@@ -134,7 +134,7 @@ class TestShrinker:
     def test_write_repro_round_trips(self, tmp_path):
         report = DiffReport(
             diverged=True, details=["$.x: 1 != 2"],
-            fast={"x": 1}, slow={"x": 2},
+            reference={"x": 2}, turbo={"x": 1},
         )
         path = write_repro(str(tmp_path), "fake", 7, 3,
                            {"items": ["bad"]}, report)
@@ -192,16 +192,16 @@ class TestFuzzCampaign:
 class TestForceKernel:
     def test_sets_and_restores_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_SLOW_KERNEL", raising=False)
-        with force_kernel(slow=True):
+        with force_kernel("reference"):
             assert os.environ["REPRO_SLOW_KERNEL"] == "1"
-            with force_kernel(slow=False):
+            with force_kernel("turbo"):
                 assert os.environ["REPRO_SLOW_KERNEL"] == "0"
             assert os.environ["REPRO_SLOW_KERNEL"] == "1"
         assert "REPRO_SLOW_KERNEL" not in os.environ
 
     def test_restores_prior_value(self, monkeypatch):
         monkeypatch.setenv("REPRO_SLOW_KERNEL", "1")
-        with force_kernel(slow=False):
+        with force_kernel("turbo"):
             assert os.environ["REPRO_SLOW_KERNEL"] == "0"
         assert os.environ["REPRO_SLOW_KERNEL"] == "1"
 

@@ -1,19 +1,16 @@
-"""Vector-kernel regression tests: the columnar SoA event queue and
+"""Turbo-tier regression tests: timer floods on the event kernel and
 the batched vector-form micro-sequencer.
 
-The vector tier adds two things on top of turbo — a columnar
-(structure-of-arrays) pending-event store and whole-chain batched
-arithmetic in the VAU — and both must be *invisible* in simulated
-results: same pop order, same timestamps, same counters, same result
-bit patterns.  These tests check the queue against a heapq model,
-pin the bulk/retail/streaming paths, verify cross-tier bit identity
-of queued chains, and cover the columnar/VAU profiling counters that
-``engine_stats`` rolls up.
+The turbo tier computes queued VAU chains in batch — one whole-chain
+subnormal screen, one vectorized timing evaluation — and that must be
+*invisible* in simulated results: same timestamps, same counters,
+same result bit patterns as the reference tier's per-op dispatch.
+These tests verify cross-tier bit identity of timer floods and queued
+chains and cover the VAU profiling counters that ``engine_stats``
+rolls up.
 """
 
-import heapq
 import pathlib
-import random
 
 import numpy as np
 import pytest
@@ -21,189 +18,17 @@ import pytest
 from repro.analysis import engine_stats, engine_stats_table
 from repro.core import PAPER_SPECS
 from repro.events import Engine
-from repro.events.columnar import BULK_THRESHOLD, ColumnarQueue
-from repro.events.engine import KERNEL_TIERS, force_kernel
+from repro.events.engine import force_kernel
 from repro.fpu import NUMPY_FLOOR
 from repro.fpu.pipeline import PipelineTiming, vector_ns_array
 from repro.fpu.vector_forms import VectorArithmeticUnit
 
-
-# -- ColumnarQueue vs a heapq model -------------------------------------
-
-
-class _HeapModel:
-    """The tuple heap the other tiers use, with explicit seqs."""
-
-    def __init__(self):
-        self._hp = []
-        self._seq = 0
-
-    def push(self, ts, prio, event):
-        heapq.heappush(self._hp, (ts, prio, self._seq, event))
-        self._seq += 1
-
-    def pop(self):
-        ts, prio, _seq, event = heapq.heappop(self._hp)
-        return ts, prio, event
-
-    def __len__(self):
-        return len(self._hp)
+#: Timers per flood; their scattered delays make heap order, not
+#: arrival order, decide every pop.
+FLOOD_TICKS = 192
 
 
-def _random_traffic(seed, pushes, urgent_p=0.25, pop_p=0.4):
-    """Drive queue and model with identical interleaved traffic."""
-    rng = random.Random(seed)
-    cq = ColumnarQueue()
-    model = _HeapModel()
-    token = 0
-    for _ in range(pushes):
-        ts = rng.randrange(0, 50)  # heavy timestamp collisions
-        prio = 0 if rng.random() < urgent_p else 1
-        cq.push(ts, prio, token)
-        model.push(ts, prio, token)
-        token += 1
-        while model._hp and rng.random() < pop_p:
-            assert cq.pop() == model.pop()
-    while model._hp:
-        assert cq.pop() == model.pop()
-    assert len(cq) == 0 and not cq
-    with pytest.raises(IndexError):
-        cq.pop()
-
-
-class TestColumnarQueue:
-    def test_interleaved_traffic_matches_heap_model(self):
-        for seed in range(8):
-            _random_traffic(seed, pushes=400)
-
-    def test_bulk_batches_match_heap_model(self):
-        # Big staged batches (bulk lexsort path) between pop storms.
-        rng = random.Random(99)
-        cq = ColumnarQueue()
-        model = _HeapModel()
-        token = 0
-        for _round in range(6):
-            for _ in range(3 * BULK_THRESHOLD):
-                ts = rng.randrange(0, 40)
-                prio = rng.choice((0, 1, 1, 1))
-                cq.push(ts, prio, token)
-                model.push(ts, prio, token)
-                token += 1
-            for _ in range(2 * BULK_THRESHOLD):
-                assert cq.pop() == model.pop()
-        while model._hp:
-            assert cq.pop() == model.pop()
-        assert cq.bulk_flushes >= 1
-        assert cq.bulk_flushed + cq.retail_flushed == token
-        assert cq.array_pops + cq.heap_pops == token
-
-    def test_urgent_beats_normal_on_timestamp_tie(self):
-        cq = ColumnarQueue()
-        cq.push(10, 1, "normal-first")
-        cq.push(10, 0, "urgent-second")
-        cq.push(10, 1, "normal-third")
-        assert cq.pop() == (10, 0, "urgent-second")
-        assert cq.pop() == (10, 1, "normal-first")
-        assert cq.pop() == (10, 1, "normal-third")
-
-    def test_staged_entry_loses_key_ties_to_flushed_head(self):
-        # Seq order: flushed entries are older, so a staged entry with
-        # an equal (ts, prio) key must pop after the flushed head.
-        cq = ColumnarQueue()
-        cq.push(5, 1, "old")
-        assert cq.pop() == (5, 1, "old")  # forces "old" through a flush
-        cq.push(5, 1, "older")
-        cq.push(3, 1, "oldest")
-        assert cq.pop() == (3, 1, "oldest")
-        cq.push(5, 1, "newest")  # staged; ties with "older" in the heap
-        assert cq.pop() == (5, 1, "older")
-        assert cq.pop() == (5, 1, "newest")
-
-    def test_bulk_flush_keeps_arrival_order_within_ties(self):
-        cq = ColumnarQueue()
-        model = _HeapModel()
-        k = 2 * BULK_THRESHOLD
-        for i in range(k):
-            cq.push(i % 3, 1, i)
-            model.push(i % 3, 1, i)
-        for _ in range(k):
-            assert cq.pop() == model.pop()
-        assert cq.bulk_flushes == 1
-        assert cq.array_pops == k
-
-    def test_staged_fast_path_below_threshold(self):
-        # A small staged batch whose minimum wins pops straight out of
-        # the staging columns: no flush, no heap traffic at all.
-        cq = ColumnarQueue()
-        for i in range(5):
-            cq.push(i, 1, i)
-        assert cq.pop() == (0, 1, 0)
-        assert cq.staged_pops == 1
-        assert cq.retail_flushed == 0
-        assert cq.heap_pops == 0
-        assert cq.bulk_flushes == 0
-        for i in range(1, 5):
-            assert cq.pop() == (i, 1, i)
-        assert cq.staged_pops == 5
-
-    def test_staged_fast_path_urgent_ties(self):
-        # URGENT beats NORMAL on a timestamp tie, and among equal keys
-        # the first staged position (smallest seq) pops first.
-        cq = ColumnarQueue()
-        cq.push(7, 1, "n1")
-        cq.push(7, 0, "u1")
-        cq.push(7, 0, "u2")
-        cq.push(7, 1, "n2")
-        assert cq.pop() == (7, 0, "u1")
-        assert cq.pop() == (7, 0, "u2")
-        assert cq.pop() == (7, 1, "n1")
-        assert cq.pop() == (7, 1, "n2")
-        assert cq.staged_pops == 4
-
-    def test_retail_heap_still_used_with_live_run(self):
-        # A large staged batch arriving while a sorted run is live
-        # cannot bulk-sort; it falls back to per-entry heap pushes.
-        cq = ColumnarQueue()
-        model = _HeapModel()
-        token = 0
-        for _ in range(BULK_THRESHOLD):
-            cq.push(token % 9, 1, token)
-            model.push(token % 9, 1, token)
-            token += 1
-        assert cq.pop() == model.pop()          # bulk flush + 1 pop
-        assert cq.bulk_flushes == 1
-        for _ in range(BULK_THRESHOLD):
-            cq.push(token % 9, 1, token)        # staged over a live run
-            model.push(token % 9, 1, token)
-            token += 1
-        while model._hp:
-            assert cq.pop() == model.pop()
-        assert cq.retail_flushed == BULK_THRESHOLD
-        assert cq.heap_pops > 0
-
-    def test_side_table_releases_popped_slots(self):
-        cq = ColumnarQueue()
-        k = 2 * BULK_THRESHOLD
-        for i in range(k):
-            cq.push(i, 1, i)
-        assert cq.side_table_size() == k
-        for i in range(k // 2):
-            cq.pop()
-        assert cq.side_table_size() == k - k // 2
-        for i in range(k - k // 2):
-            cq.pop()
-        assert cq.side_table_size() == 0
-
-    def test_stats_keys(self):
-        cq = ColumnarQueue()
-        stats = cq.stats()
-        assert set(stats) == {
-            "array_pops", "heap_pops", "bulk_flushes", "bulk_flushed",
-            "retail_flushed", "staged_pops", "side_table_size",
-        }
-
-
-# -- vector tier engine semantics ---------------------------------------
+# -- timer floods ------------------------------------------------------
 
 
 def _flood(ticks, until=None):
@@ -226,50 +51,25 @@ def _flood(ticks, until=None):
 
 
 class TestVectorTierSemantics:
+    """Timer floods on the turbo tier match the reference tier."""
+
     def test_flood_identical_to_reference(self):
-        with force_kernel(tier="reference"):
-            ref, ref_fired = _flood(4 * BULK_THRESHOLD)
-        with force_kernel(tier="vector"):
-            vec, vec_fired = _flood(4 * BULK_THRESHOLD)
-        assert vec.kernel_tier == "vector"
-        assert (vec.now, vec_fired) == (ref.now, ref_fired)
-        assert vec.events_processed == ref.events_processed
-        stats = engine_stats(vec)
-        assert stats["columnar"]["bulk_flushes"] >= 1
-        assert stats["columnar"]["array_pops"] > 0
+        with force_kernel("reference"):
+            ref, ref_fired = _flood(FLOOD_TICKS)
+        with force_kernel("turbo"):
+            turbo, turbo_fired = _flood(FLOOD_TICKS)
+        assert turbo.kernel_tier == "turbo"
+        assert (turbo.now, turbo_fired) == (ref.now, ref_fired)
+        assert turbo.events_processed == ref.events_processed
 
     def test_flood_until_time_identical(self):
         for until in (1, 500, 1000, 1500, 5000):
-            with force_kernel(tier="reference"):
-                ref, ref_fired = _flood(4 * BULK_THRESHOLD, until=until)
-            with force_kernel(tier="vector"):
-                vec, vec_fired = _flood(4 * BULK_THRESHOLD, until=until)
-            assert (vec.now, vec_fired) == (ref.now, ref_fired)
-            assert vec.events_processed == ref.events_processed
-
-    def test_engine_stats_columnar_accounting(self):
-        with force_kernel(tier="vector"):
-            eng, _ = _flood(4 * BULK_THRESHOLD)
-        columnar = engine_stats(eng)["columnar"]
-        # Every entry that entered the queue either left through the
-        # staged fast path or was flushed exactly once and popped
-        # exactly once; nothing is left resident.
-        flushed = columnar["bulk_flushed"] + columnar["retail_flushed"]
-        popped = columnar["array_pops"] + columnar["heap_pops"]
-        assert flushed == popped
-        assert columnar["side_table_size"] == 0
-        rows = engine_stats_table(eng).render()
-        assert "columnar_array_pops" in rows
-        assert "vau_" not in rows  # no VAU on this engine
-
-    def test_engine_stats_columnar_none_on_other_tiers(self):
-        for tier in ("reference", "fast", "turbo"):
-            with force_kernel(tier=tier):
-                eng = Engine()
-                eng.timeout(5)
-                eng.run()
-            assert engine_stats(eng)["columnar"] is None
-            assert "columnar_" not in engine_stats_table(eng).render()
+            with force_kernel("reference"):
+                ref, ref_fired = _flood(FLOOD_TICKS, until=until)
+            with force_kernel("turbo"):
+                turbo, turbo_fired = _flood(FLOOD_TICKS, until=until)
+            assert (turbo.now, turbo_fired) == (ref.now, ref_fired)
+            assert turbo.events_processed == ref.events_processed
 
 
 # -- batched chains (the VAU micro-sequencer) ---------------------------
@@ -315,19 +115,16 @@ class TestBatchedChains:
     @pytest.mark.parametrize("dirty", [False, True])
     def test_chain_bit_identical_across_tiers(self, dirty):
         ops = _chain_ops(dirty=dirty)
-        with force_kernel(tier="reference"):
+        with force_kernel("reference"):
             ref_bits, ref_counters, _eng, _vau = _run_chain(ops)
-        for tier in KERNEL_TIERS:
-            if tier == "reference":
-                continue
-            with force_kernel(tier=tier):
-                bits, counters, _eng, _vau = _run_chain(ops)
-            assert bits == ref_bits, tier
-            assert counters == ref_counters, tier
+        with force_kernel("turbo"):
+            bits, counters, _eng, _vau = _run_chain(ops)
+        assert bits == ref_bits
+        assert counters == ref_counters
 
     def test_batched_counters_clean_chain(self):
         ops = _chain_ops(dirty=False)
-        with force_kernel(tier="vector"):
+        with force_kernel("turbo"):
             _bits, _counters, eng, vau = _run_chain(ops)
         assert vau.chains == 1
         assert vau.batched_forms == len(ops)
@@ -342,14 +139,15 @@ class TestBatchedChains:
 
     def test_dirty_chain_falls_back_but_still_batches_timing(self):
         ops = _chain_ops(dirty=True)
-        with force_kernel(tier="vector"):
+        with force_kernel("turbo"):
             _bits, _counters, _eng, vau = _run_chain(ops)
         assert vau.chains == 1
         assert vau.screens_elided == 0  # per-op screens ran
 
     def test_chain_counters_zero_off_vector_tier(self):
+        """The reference tier dispatches per op: no batched chains."""
         ops = _chain_ops()
-        with force_kernel(tier="turbo"):
+        with force_kernel("reference"):
             _bits, _counters, eng, vau = _run_chain(ops)
         assert (vau.chains, vau.batched_forms, vau.batched_elements,
                 vau.screens_elided) == (0, 0, 0, 0)
@@ -361,7 +159,7 @@ class TestBatchedChains:
         # and identical counter totals (the chain holds the unit once,
         # so completion eventing differs — values and totals must not).
         ops = _chain_ops()
-        with force_kernel(tier="vector"):
+        with force_kernel("turbo"):
             chain_bits, _c, _eng, chain_vau = _run_chain(ops)
             eng = Engine()
             vau = VectorArithmeticUnit(eng, PAPER_SPECS)
