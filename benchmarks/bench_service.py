@@ -23,9 +23,19 @@ property that makes it usable at all:
   10% of the no-journal cold wall: durability is priced per job, and
   the price must be negligible against real simulation work.
 
+* **Store scaling** — a fresh instance makes new stores below the
+  size bound into a store another instance prefilled (300 entries
+  quick, 2,000 full; 50 or 200 stores), and the same number into an
+  empty store.  The cache keeps a running byte count, so each run
+  must make exactly one full scan of the disk tier (on its first
+  store) and no size eviction, whatever the store holds.  Milliseconds
+  per put into the empty and the prefilled store are reported but not
+  gated: their ratio is too noisy on a shared host.
+
 Acceptance (full mode): warm ≥ 10x faster than cold on every tier,
 every warm job served from cache, every payload byte-identical, and
-the journaled cold pass ≤ 1.10x the plain cold pass.
+the journaled cold pass ≤ 1.10x the plain cold pass.  The store-scaling
+counts are gated in both modes.
 
 Run directly::
 
@@ -34,6 +44,7 @@ Run directly::
 """
 
 import argparse
+import hashlib
 import json
 import pathlib
 import shutil
@@ -64,6 +75,10 @@ WARM_SPEEDUP_TARGET = 10.0
 #: Journaled cold pass must cost at most this multiple of the plain
 #: cold pass (the fsync-per-chunk price of durability).
 JOURNAL_OVERHEAD_TARGET = 1.10
+#: Store scaling: entries another instance prefills, and new stores
+#: made below the bound, keyed by ``quick``.
+SCALING_PREFILL = {True: 300, False: 2000}
+SCALING_STORES = {True: 50, False: 200}
 
 
 def _batch(quick: bool) -> list:
@@ -214,6 +229,57 @@ def run_journal_overhead(jobs, tier: str = "turbo",
     }
 
 
+def _scaling_entry(index: int):
+    """One store-scaling entry: a distinct key and a payload about the
+    size of a tiny job's result (~1.2 KB on disk)."""
+    key = hashlib.sha256(f"store-scaling:{index}".encode()).hexdigest()
+    return key, {"index": index, "pad": "z" * 1000}
+
+
+def _timed_stores(root: str, first: int, count: int) -> dict:
+    """``count`` new stores into ``root`` through a fresh instance (a
+    restarted server): ms per put, full disk scans, size evictions."""
+    entries_before = ResultCache(root=root).disk_usage()["entries"]
+    cache = ResultCache(root=root)
+    entries = [_scaling_entry(i) for i in range(first, first + count)]
+    t0 = time.perf_counter()
+    for key, value in entries:
+        cache.put(key, value)
+    wall = time.perf_counter() - t0
+    stats = cache.stats()
+    return {
+        "entries_before": entries_before,
+        "stores": count,
+        "ms_per_put": wall / count * 1e3,
+        "disk_scans": stats["disk_scans"],
+        "size_evictions": stats["size_evictions"],
+    }
+
+
+def run_store_scaling(quick: bool) -> dict:
+    """Stores below the bound into an empty and a prefilled store."""
+    prefill, stores = SCALING_PREFILL[quick], SCALING_STORES[quick]
+    root = pathlib.Path(tempfile.mkdtemp(prefix="repro-service-scale-"))
+    try:
+        empty = _timed_stores(str(root / "empty"), 0, stores)
+        filler = ResultCache(root=str(root / "prefilled"))
+        for index in range(stores, stores + prefill):
+            filler.put(*_scaling_entry(index))
+        prefilled = _timed_stores(str(root / "prefilled"),
+                                  stores + prefill, stores)
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    runs = {"empty": empty, "prefilled": prefilled}
+    return {
+        "runs": runs,
+        "prefilled_vs_empty": (prefilled["ms_per_put"]
+                               / empty["ms_per_put"]),
+        "counts_ok": all(r["disk_scans"] == 1
+                         and r["size_evictions"] == 0
+                         for r in runs.values()),
+    }
+
+
 def run_benchmark(quick: bool = False) -> dict:
     jobs = _batch(quick)
     tiers = {}
@@ -226,6 +292,7 @@ def run_benchmark(quick: bool = False) -> dict:
     journal = run_journal_overhead(jobs)
     return {
         "journal_overhead": journal,
+        "store_scaling": run_store_scaling(quick),
         "benchmark": "service",
         "quick": quick,
         "warm_speedup_target": WARM_SPEEDUP_TARGET,
@@ -268,6 +335,19 @@ def render(payload: dict) -> Table:
     return table
 
 
+def render_scaling(scaling: dict) -> Table:
+    table = Table(
+        "Result-store scaling (gate: 1 disk scan, 0 evictions per run)",
+        ["store", "entries before", "stores", "ms/put", "disk scans",
+         "size evictions"],
+    )
+    for name, run in scaling["runs"].items():
+        table.add(name, run["entries_before"], run["stores"],
+                  round(run["ms_per_put"], 3), run["disk_scans"],
+                  run["size_evictions"])
+    return table
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -281,7 +361,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     payload = run_benchmark(quick=args.quick)
-    save_report("service", render(payload))
+    save_report("service", render(payload),
+                render_scaling(payload["store_scaling"]))
 
     payload["acceptance"] = {
         "min_warm_speedup": round(payload["min_warm_speedup"], 2),
@@ -295,13 +376,20 @@ def main(argv=None) -> int:
         "journal_overhead_target": JOURNAL_OVERHEAD_TARGET,
         "journal_overhead_ok": (
             payload["journal_overhead"]["within_target"]),
+        "store_scaling_disk_scans": (
+            payload["store_scaling"]["runs"]["prefilled"]["disk_scans"]),
+        "store_scaling_counts_ok": (
+            payload["store_scaling"]["counts_ok"]),
+        "store_scaling_prefilled_vs_empty": round(
+            payload["store_scaling"]["prefilled_vs_empty"], 2),
     }
     if not args.no_json:
         BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"\nwrote {BENCH_JSON}")
 
     ok = (payload["all_byte_identical"] and payload["all_warm_cached"]
-          and payload["coalescing_observed"])
+          and payload["coalescing_observed"]
+          and payload["store_scaling"]["counts_ok"])
     if not args.quick:
         ok = ok and payload["min_warm_speedup"] >= WARM_SPEEDUP_TARGET
         ok = ok and payload["journal_overhead"]["within_target"]

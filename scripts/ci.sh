@@ -99,7 +99,11 @@ rm -rf "$SERVICE_SMOKE_DIR"
 echo "== cache-versioning guard (golden digests <-> job-key schema) =="
 python scripts/check_cache_version.py
 
-echo "== service benchmark smoke (cold/warm identity, both tiers) =="
+echo "== service benchmark smoke (cold/warm identity, both tiers; store scaling) =="
+# Gates warm payloads byte-identical to cold on every kernel tier, and
+# re-runs the store-scaling section: 50 stores below the size bound into
+# an empty and a 300-entry store must each make exactly one full disk
+# scan and no size eviction.  A rescan per store fails the exit code.
 python benchmarks/bench_service.py --quick --no-json
 
 echo "== net benchmark smoke (remote byte-identity, both tiers) =="

@@ -239,17 +239,6 @@ def recovery_stats(run) -> dict:
     return stats
 
 
-def _latency_rollup(samples) -> dict:
-    """Mean/max/total over a per-job latency list (seconds)."""
-    samples = list(samples)
-    return {
-        "jobs": len(samples),
-        "total_s": sum(samples),
-        "mean_s": (sum(samples) / len(samples)) if samples else 0.0,
-        "max_s": max(samples) if samples else 0.0,
-    }
-
-
 def service_stats(service) -> dict:
     """Roll-up of a :class:`~repro.service.SimulationService` run.
 
@@ -262,11 +251,11 @@ def service_stats(service) -> dict:
     (``queue_depth``, ``queue_depth_hwm``), per-job latency rollups
     (``queue_latency``, ``run_latency``), and the cache tier's own
     counters under ``cache`` (memory/disk hits, misses, stores,
-    corruption and size evictions) or ``None`` when the service runs
-    uncached.
+    corruption and size evictions, full disk scans) or ``None`` when
+    the service runs uncached.
     """
     raw = service if isinstance(service, dict) else service.stats()
-    if "queue_latency" in raw:
+    if "served_from_cache_fraction" in raw:
         return raw  # already rolled up — idempotent
     answered = raw["cache_hits"] + raw["executed"] + raw["failed"]
     return {
@@ -286,8 +275,8 @@ def service_stats(service) -> dict:
         ),
         "queue_depth": raw["queue_depth"],
         "queue_depth_hwm": raw["queue_depth_hwm"],
-        "queue_latency": _latency_rollup(raw["queued_s"]),
-        "run_latency": _latency_rollup(raw["run_s"]),
+        "queue_latency": raw["queue_latency"],
+        "run_latency": raw["run_latency"],
         "cache": raw["cache"],
         "tenants": raw.get("tenants", {}),
         "journal": raw.get("journal"),
@@ -312,7 +301,8 @@ def service_stats_table(service, title="Service profile") -> Table:
     cache = stats["cache"]
     if cache is not None:
         for key in ("memory_hits", "disk_hits", "misses", "stores",
-                    "corrupt_evictions", "size_evictions"):
+                    "corrupt_evictions", "size_evictions",
+                    "disk_scans"):
             table.add(f"cache_{key}", cache[key])
     journal = stats.get("journal")
     if journal is not None:

@@ -20,11 +20,28 @@ Two tiers:
   wrong key is treated as corruption — the file is deleted, the miss
   is reported, and the job simply re-simulates.
 
-Disk usage is bounded: after each store, entries are evicted oldest
-first until the store fits ``disk_bytes``.  Eviction order is fully
-deterministic — (mtime, then key) — so two stores that reach the
-bound with the same entry set evict the same victims regardless of
-filesystem timestamp resolution or directory-scan order.
+Disk usage is bounded by ``disk_bytes`` without rescanning the store
+on every write.  The cache keeps a running count of the bytes its disk
+tier holds: the first store (not construction, so a server starts
+without paying for it) scans the whole store once, and each later
+store adds the bytes it just wrote.  Only when the count exceeds
+``disk_bytes`` does a store rescan the disk tier, evict entries oldest
+first until the store fits, and reset the count to what that scan
+found; ``clear()`` forgets the count.  A store below the bound thus
+costs one atomic write whatever the store's size.  The count may
+over-estimate this process's bytes but never under-estimates them
+(an overwritten key or a corrupt eviction only brings the next rescan
+forward), so a single writer evicts exactly the entries, in exactly
+the order, that a rescan after every store would.  Eviction order is
+fully deterministic — (mtime, then key) — so two stores that reach
+the bound with the same entry set evict the same victims regardless
+of filesystem timestamp resolution or directory-scan order.
+
+Entries that another process writes into the same root while this
+one runs are not in this process's count: they are counted at its
+next rescan or on restart (a restarted process scans on its first
+store), so concurrent writers can together overshoot the bound until
+one of them rescans.
 """
 
 import json
@@ -64,6 +81,10 @@ class ResultCache:
         self.stores = 0
         self.corrupt_evictions = 0
         self.size_evictions = 0
+        self.disk_scans = 0
+        # Bytes the disk tier holds as far as this process knows; None
+        # until the first store scans the store (see module docs).
+        self._disk_total = None
 
     # -- addressing ---------------------------------------------------
 
@@ -129,10 +150,11 @@ class ResultCache:
         path = self._path(key)
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
+        data = canonical_json(envelope).encode()
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(canonical_json(envelope))
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -142,11 +164,15 @@ class ResultCache:
             raise
         self._remember(key, value)
         self.stores += 1
-        self._enforce_size_bound()
+        if self._disk_total is not None:
+            self._disk_total += len(data)
+        if self._disk_total is None or self._disk_total > self.disk_bytes:
+            self._enforce_size_bound()
 
     def clear(self):
         """Drop both tiers (the on-disk store too)."""
         self._memory.clear()
+        self._disk_total = None
         for path, _size, _mtime in self._disk_entries():
             try:
                 os.unlink(path)
@@ -179,7 +205,9 @@ class ResultCache:
     # -- size bound ---------------------------------------------------
 
     def _disk_entries(self):
-        """Every on-disk entry as ``(path, size, mtime)``."""
+        """Every on-disk entry as ``(path, size, mtime)``: one full
+        scan of the disk tier."""
+        self.disk_scans += 1
         entries = []
         try:
             shards = os.scandir(self.root)
@@ -222,23 +250,25 @@ class ResultCache:
         return os.path.basename(path)[:-len(".json")]
 
     def _enforce_size_bound(self):
+        """Rescan the disk tier, evict oldest-first until it fits
+        ``disk_bytes``, and reset the running count to the result."""
         entries = self._disk_entries()
         total = sum(size for _p, size, _m in entries)
-        if total <= self.disk_bytes:
-            return
-        # Oldest mtime first; the entry's key breaks mtime ties, so
-        # eviction order is a pure function of (entry set, mtimes) —
-        # never of scan order or timestamp granularity.
-        entries.sort(key=lambda e: (e[2], self._entry_key(e[0])))
-        for path, size, _mtime in entries:
-            if total <= self.disk_bytes:
-                break
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            total -= size
-            self.size_evictions += 1
+        if total > self.disk_bytes:
+            # Oldest mtime first; the entry's key breaks mtime ties, so
+            # eviction order is a pure function of (entry set, mtimes)
+            # — never of scan order or timestamp granularity.
+            entries.sort(key=lambda e: (e[2], self._entry_key(e[0])))
+            for path, size, _mtime in entries:
+                if total <= self.disk_bytes:
+                    break
+                try:
+                    os.unlink(path)
+                except OSError:
+                    continue
+                total -= size
+                self.size_evictions += 1
+        self._disk_total = total
 
     # -- stats --------------------------------------------------------
 
@@ -250,6 +280,7 @@ class ResultCache:
             "stores": self.stores,
             "corrupt_evictions": self.corrupt_evictions,
             "size_evictions": self.size_evictions,
+            "disk_scans": self.disk_scans,
             "memory_entries": len(self._memory),
             "root": self.root,
         }

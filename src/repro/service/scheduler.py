@@ -153,6 +153,34 @@ class JobTimeout(JobError):
         }
 
 
+class LatencyTally:
+    """Count, total and maximum of per-job latencies (seconds).
+
+    Kept in place of a list of every sample, so a long-lived server's
+    stats stay the same size however many jobs it has run.
+    """
+
+    __slots__ = ("jobs", "total_s", "max_s")
+
+    def __init__(self):
+        self.jobs = 0
+        self.total_s = 0.0
+        self.max_s = 0.0
+
+    def add(self, seconds):
+        self.max_s = max(self.max_s, seconds) if self.jobs else seconds
+        self.jobs += 1
+        self.total_s += seconds
+
+    def rollup(self) -> dict:
+        return {
+            "jobs": self.jobs,
+            "total_s": self.total_s,
+            "mean_s": self.total_s / self.jobs if self.jobs else 0.0,
+            "max_s": self.max_s,
+        }
+
+
 class JobFuture:
     """Handle on one submitted job (shared by coalesced submitters)."""
 
@@ -277,8 +305,8 @@ class SimulationService:
         self.worker_retries = 0
         self.retried_ok = 0
         self.queue_depth_hwm = 0
-        self.queued_s = []       # per executed job, submit → drain
-        self.run_s = []          # per executed job, pool cell wall
+        self.queue_latency = LatencyTally()  # submit → drain
+        self.run_latency = LatencyTally()    # pool cell wall
         # Lifecycle listeners (the net layer's event bus registers
         # here); a listener that raises is counted, never fatal.
         self._listeners = []
@@ -650,8 +678,8 @@ class SimulationService:
             records = []
             for future, cell in zip(chunk, sweep.results):
                 future.run_s = cell.wall_s
-                self.queued_s.append(future.queued_s)
-                self.run_s.append(cell.wall_s)
+                self.queue_latency.add(future.queued_s)
+                self.run_latency.add(cell.wall_s)
                 if cell.ok:
                     if self.cache is not None:
                         self.cache.put(future.key, cell.value,
@@ -781,8 +809,8 @@ class SimulationService:
                 "retried_ok": self.retried_ok,
                 "queue_depth": len(self._inflight),
                 "queue_depth_hwm": self.queue_depth_hwm,
-                "queued_s": list(self.queued_s),
-                "run_s": list(self.run_s),
+                "queue_latency": self.queue_latency.rollup(),
+                "run_latency": self.run_latency.rollup(),
                 "cache": (self.cache.stats()
                           if self.cache is not None else None),
                 "tenants": self.tenants.stats(),

@@ -172,3 +172,113 @@ def test_eviction_order_deterministic_under_equal_mtimes(tmp_path):
     # All mtimes equal, so the lexicographically-smallest keys are
     # evicted first and exactly the two largest keys survive.
     assert survivors == keys[-2:]
+
+
+# -- the running byte count -------------------------------------------
+
+def _key(index):
+    return f"{index:02x}" * 32
+
+
+def _entry_bytes(tmp_path, value):
+    """On-disk size of one entry holding ``value``."""
+    probe = ResultCache(root=str(tmp_path / "probe"))
+    probe.put(KEY_A, value)
+    return probe.disk_usage()["bytes"]
+
+
+def test_stores_below_bound_scan_the_store_once(tmp_path):
+    # Another instance filled the store (a server restarted on it).
+    filler = _cache(tmp_path)
+    for index in range(30):
+        filler.put(_key(index), {"index": index})
+    cache = _cache(tmp_path)
+    assert cache.disk_scans == 0             # construction never scans
+    for index in range(30, 80):
+        cache.put(_key(index), {"index": index})
+    # One scan on the first store learns the byte total; the other 49
+    # stores add what they wrote.  A rescan per store would make 50.
+    assert cache.disk_scans == 1
+    assert cache.stats()["disk_scans"] == 1
+    assert cache.size_evictions == 0
+    assert cache.disk_usage()["entries"] == 80
+
+
+def test_store_below_bound_after_eviction_does_not_rescan(tmp_path):
+    big, small = {"pad": "z" * 2000}, {"pad": "z" * 50}
+    big_bytes = _entry_bytes(tmp_path, big)
+    small_bytes = _entry_bytes(tmp_path, small)
+    cache = _cache(tmp_path, disk_bytes=big_bytes + int(2.5 * small_bytes))
+    # The big entry is the oldest (and has the smallest key, should
+    # the filesystem clock tie), so the crossing store evicts it alone.
+    cache.put(_key(0), big)
+    for index in (1, 2, 3):
+        cache.put(_key(index), small)
+    assert cache.size_evictions == 1
+    assert cache.disk_scans == 2             # first store + crossing
+    cache.put(_key(4), small)                # 4 small < big + 2.5 small
+    assert cache.disk_scans == 2
+    assert cache.size_evictions == 1
+    assert cache.disk_usage()["bytes"] <= cache.disk_bytes
+
+
+def test_clear_forgets_count_and_eviction_stays_oldest_first(tmp_path):
+    value = {"x": "a" * 100}
+    cache = _cache(tmp_path,
+                   disk_bytes=int(_entry_bytes(tmp_path, value) * 2.5))
+    cache.put(KEY_C, value)
+    cache.clear()
+    scans = cache.disk_scans
+    cache.put(KEY_A, value)
+    assert cache.disk_scans == scans + 1     # the count was forgotten
+    cache.put(KEY_B, value)
+    cache.put(KEY_C, value)                  # crosses the bound
+    assert cache.size_evictions == 1
+    fresh = _cache(tmp_path)
+    assert fresh.get(KEY_A) is None          # oldest evicted
+    assert fresh.get(KEY_B) == value
+    assert fresh.get(KEY_C) == value         # newest kept
+
+
+def test_overwrite_and_corrupt_eviction_never_exceed_bound(tmp_path):
+    small, big = {"pad": "z" * 100}, {"pad": "z" * 400}
+    bound = int(_entry_bytes(tmp_path, small) * 3.5)
+    cache = _cache(tmp_path, disk_bytes=bound)
+
+    def store(key, value):
+        cache.put(key, value)
+        assert cache.disk_usage()["bytes"] <= bound
+
+    store(KEY_A, small)
+    store(KEY_B, small)
+    store(KEY_B, small)                      # same key twice
+    store(KEY_B, big)                        # and grown in place
+    store(KEY_C, small)
+    # Truncate one entry; the read evicts it as corrupt.
+    path = _entry_path(cache, KEY_C)
+    with open(path, "r+") as handle:
+        handle.truncate(10)
+    cache._memory.clear()
+    assert cache.get(KEY_C) is None
+    assert cache.corrupt_evictions == 1
+    for index in range(6):
+        store(_key(index), small)
+    assert cache.size_evictions > 0
+
+
+def test_restart_past_smaller_bound_evicts_on_first_store(tmp_path):
+    """A process killed mid-run and restarted with a smaller bound:
+    the first store's scan sees the whole store and evicts at once."""
+    value = {"pad": "z" * 100}
+    filler = _cache(tmp_path)
+    for index in range(10):
+        filler.put(_key(index), value)
+    bound = int(_entry_bytes(tmp_path, value) * 3.5)
+    cache = _cache(tmp_path, disk_bytes=bound)
+    cache.put(_key(10), value)
+    assert cache.disk_scans == 1
+    assert cache.size_evictions == 8
+    assert cache.disk_usage()["bytes"] <= bound
+    fresh = _cache(tmp_path)
+    assert fresh.get(_key(10)) == value      # newest kept
+    assert fresh.get(_key(0)) is None        # oldest evicted

@@ -294,6 +294,32 @@ def test_service_stats_rollup(service):
     assert service_stats(stats) == stats
 
 
+def test_latency_rollups_match_the_futures(service, recorder):
+    """The running tallies report what a rollup of every executed
+    future's own queued_s/run_s would, across more than one drain."""
+    from repro.analysis import service_stats
+
+    futures = []
+    for wave in range(2):
+        futures += [
+            service.submit(JobSpec(kind="test.recorder",
+                                   spec={"label": f"{wave}-{index}"},
+                                   tier="turbo"))
+            for index in range(4)
+        ]
+        service.drain()
+    stats = service_stats(service)
+    for family, field in (("queue_latency", "queued_s"),
+                          ("run_latency", "run_s")):
+        samples = [getattr(future, field) for future in futures]
+        assert stats[family] == pytest.approx({
+            "jobs": 8,
+            "total_s": sum(samples),
+            "mean_s": sum(samples) / len(samples),
+            "max_s": max(samples),
+        })
+
+
 def test_crashed_worker_retries_with_backoff(service, tmp_path):
     """A hard worker death retries (bounded, backed off) and wins."""
     marker = str(tmp_path / "crashed-once")
