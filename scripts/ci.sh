@@ -66,6 +66,22 @@ python -m repro.testing.fuzz --seed 2601 --cases 50 \
 echo "== net smoke (remote batch + stream + kill -9 + restart) =="
 python scripts/net_smoke.py
 
+echo "== benchmark self-checks (perfbench arithmetic; wire_warm; traced wire_cold) =="
+# The wire workloads serve through the `serve` CLI and check every
+# reply's digest; the traced run also fails if a change breaks the
+# tracer's wrapping.  Each run's last line is a JSON object that must
+# say correct with no failed op.
+python -m pytest perfbench/tests/test_arithmetic.py -q
+for workload_args in "--workload wire_warm --seed 1 --seconds 2" \
+        "--workload wire_cold --seed 1 --seconds 2 --trace 1"; do
+    # shellcheck disable=SC2086
+    python3 perfbench/run.py $workload_args | tail -n 1 | python -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+assert result["correct"] is True and result["failed"] == 0, result
+print("perfbench OK:", result["attempted"], "ops, 0 failed")'
+done
+
 echo "== fault-tolerance smoke (ARQ retries + recovery digest) =="
 python scripts/fault_smoke.py
 

@@ -270,6 +270,7 @@ def service_stats(service) -> dict:
         "shed": raw.get("shed", 0),
         "worker_retries": raw.get("worker_retries", 0),
         "retried_ok": raw.get("retried_ok", 0),
+        "drain_errors": raw.get("drain_errors", 0),
         "served_from_cache_fraction": (
             raw["cache_hits"] / answered if answered else 0.0
         ),

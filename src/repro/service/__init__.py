@@ -35,7 +35,6 @@ from repro.service.jobkey import (
 )
 from repro.service.journal import JobJournal, default_journal_dir
 from repro.service.net import (
-    AsyncServiceClient,
     RemoteJobError,
     ServerThread,
     ServiceClient,
@@ -62,7 +61,6 @@ from repro.service.workloads import (
 
 __all__ = [
     "AdmissionError",
-    "AsyncServiceClient",
     "JOB_KEY_SCHEMA_VERSION",
     "JobError",
     "JobFuture",

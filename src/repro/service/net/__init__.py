@@ -6,14 +6,14 @@ errors), :mod:`~repro.service.net.bus` (in-process status event bus
 fed by the scheduler's lifecycle hooks), :mod:`~repro.service.net.server`
 (the asyncio runtime serving the framed protocol and a minimal
 HTTP/1.1 adapter on the same listeners, with auth, backpressure, and
-graceful drain), and :mod:`~repro.service.net.client` (sync + async
-clients behind the CLI's ``--remote`` flag).
+graceful drain), and :mod:`~repro.service.net.client` (the blocking
+client behind the CLI's ``--remote`` flag).
 """
 
 from repro.service.net.bus import StatusBus, Subscription, \
     is_terminal
-from repro.service.net.client import AsyncServiceClient, \
-    ServiceClient, job_document, parse_address
+from repro.service.net.client import ServiceClient, job_document, \
+    parse_address
 from repro.service.net.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -32,7 +32,6 @@ from repro.service.net.server import (
 )
 
 __all__ = [
-    "AsyncServiceClient",
     "AuthError",
     "FrameDecoder",
     "MAX_FRAME_BYTES",

@@ -1,12 +1,10 @@
-"""Client library for the serving front-end (sync and async).
+"""Client library for the serving front-end.
 
-The sync :class:`ServiceClient` is a plain blocking socket speaking
-the framed protocol — what the CLI's ``--remote`` flag, the benches,
-and the chaos fuzzer use.  :class:`AsyncServiceClient` is the same
-surface on ``asyncio`` streams for callers already inside a loop.
-Both are single-request-at-a-time: responses are matched to requests
-by arrival order, and a stream is consumed to its ``end`` frame
-before the next call.
+:class:`ServiceClient` is a plain blocking socket speaking the framed
+protocol — what the CLI's ``--remote`` flag, the benches, and the
+chaos fuzzer use.  It is single-request-at-a-time: responses are
+matched to requests by arrival order, and a stream is consumed to its
+``end`` frame before the next call.
 
 Addresses are strings: ``unix:/path/to.sock`` (or any bare path with
 a ``/``) for Unix sockets, ``host:port`` or ``tcp:host:port`` for
@@ -15,7 +13,6 @@ protocol, auth) surface as :class:`RemoteJobError` with the error
 document on ``.error``.
 """
 
-import asyncio
 import socket
 
 from repro.service.jobkey import JobSpec
@@ -64,28 +61,7 @@ def job_document(job) -> dict:
                     f"not {type(job).__name__}")
 
 
-class _MessageMixin:
-    """Request shaping + response checking shared by both clients."""
-
-    def _next_request(self, method, params) -> tuple:
-        self._request_id += 1
-        clean = {k: v for k, v in params.items() if v is not None}
-        if self.auth is not None and method == "submit":
-            clean.setdefault("auth", self.auth)
-        return self._request_id, encode_frame(
-            request(self._request_id, method, **clean))
-
-    @staticmethod
-    def _check(message) -> dict:
-        if not isinstance(message, dict):
-            raise ProtocolError("request",
-                               "server sent a non-object message")
-        if message.get("ok") is False:
-            raise RemoteJobError(message.get("error"))
-        return message
-
-
-class ServiceClient(_MessageMixin):
+class ServiceClient:
     """Blocking framed-protocol client."""
 
     def __init__(self, address, auth=None, timeout=30.0,
@@ -130,6 +106,22 @@ class ServiceClient(_MessageMixin):
 
     # -- plumbing -----------------------------------------------------
 
+    def _next_request(self, method, params) -> bytes:
+        self._request_id += 1
+        clean = {k: v for k, v in params.items() if v is not None}
+        if self.auth is not None and method == "submit":
+            clean.setdefault("auth", self.auth)
+        return encode_frame(request(self._request_id, method, **clean))
+
+    @staticmethod
+    def _check(message) -> dict:
+        if not isinstance(message, dict):
+            raise ProtocolError("request",
+                               "server sent a non-object message")
+        if message.get("ok") is False:
+            raise RemoteJobError(message.get("error"))
+        return message
+
     def _send(self, data: bytes):
         self.connect()
         self._sock.sendall(data)
@@ -144,8 +136,7 @@ class ServiceClient(_MessageMixin):
         return self._inbox.pop(0)
 
     def _call(self, method, **params):
-        _, frame = self._next_request(method, params)
-        self._send(frame)
+        self._send(self._next_request(method, params))
         return self._check(self._recv_message())
 
     # -- API ----------------------------------------------------------
@@ -161,10 +152,6 @@ class ServiceClient(_MessageMixin):
         return self._call(
             "submit", job=job_document(job), priority=priority,
             wait=wait, result=with_result)["result"]
-
-    def submit_batch(self, jobs, priority=0, wait=None) -> list:
-        return [self.submit(job, priority=priority, wait=wait)
-                for job in jobs]
 
     def status(self, key, with_result=False) -> dict:
         return self._call("status", key=key,
@@ -193,11 +180,11 @@ class ServiceClient(_MessageMixin):
             raise ValueError("stream() takes exactly one of key= "
                              "or job=")
         if job is not None:
-            _, frame = self._next_request("submit", {
+            frame = self._next_request("submit", {
                 "job": job_document(job), "priority": priority,
                 "stream": True})
         else:
-            _, frame = self._next_request("subscribe", {"key": key})
+            frame = self._next_request("subscribe", {"key": key})
         self._send(frame)
         first = job is not None
         while True:
@@ -224,115 +211,3 @@ class ServiceClient(_MessageMixin):
             elif tag == "end":
                 record = payload
         return events, record
-
-
-class AsyncServiceClient(_MessageMixin):
-    """The same surface on ``asyncio`` streams."""
-
-    def __init__(self, address, auth=None, timeout=30.0,
-                 max_frame_bytes=MAX_FRAME_BYTES):
-        self.address = parse_address(address)
-        self.auth = auth
-        self.timeout = float(timeout)
-        self._decoder = FrameDecoder(max_frame_bytes)
-        self._inbox = []
-        self._reader = None
-        self._writer = None
-        self._request_id = 0
-
-    async def connect(self) -> "AsyncServiceClient":
-        if self._writer is not None:
-            return self
-        if self.address[0] == "unix":
-            opened = asyncio.open_unix_connection(self.address[1])
-        else:
-            opened = asyncio.open_connection(self.address[1],
-                                             self.address[2])
-        self._reader, self._writer = await asyncio.wait_for(
-            opened, self.timeout)
-        return self
-
-    async def close(self):
-        if self._writer is not None:
-            try:
-                self._writer.close()
-            finally:
-                self._reader = None
-                self._writer = None
-
-    async def __aenter__(self):
-        return await self.connect()
-
-    async def __aexit__(self, *exc):
-        await self.close()
-        return False
-
-    async def _send(self, data: bytes):
-        await self.connect()
-        self._writer.write(data)
-        await self._writer.drain()
-
-    async def _recv_message(self) -> dict:
-        while not self._inbox:
-            data = await asyncio.wait_for(
-                self._reader.read(65536), self.timeout)
-            if not data:
-                raise ConnectionError(
-                    "server closed the connection")
-            self._inbox.extend(self._decoder.feed(data))
-        return self._inbox.pop(0)
-
-    async def _call(self, method, **params):
-        _, frame = self._next_request(method, params)
-        await self._send(frame)
-        return self._check(await self._recv_message())
-
-    async def ping(self) -> dict:
-        return (await self._call("ping"))["result"]
-
-    async def submit(self, job, priority=0, wait=None,
-                     with_result=True) -> dict:
-        return (await self._call(
-            "submit", job=job_document(job), priority=priority,
-            wait=wait, result=with_result))["result"]
-
-    async def status(self, key, with_result=False) -> dict:
-        return (await self._call("status", key=key,
-                                 result=with_result))["result"]
-
-    async def result(self, key, timeout=60.0) -> dict:
-        return (await self._call("result", key=key,
-                                 timeout=timeout))["result"]
-
-    async def cancel(self, key) -> dict:
-        return (await self._call("cancel", key=key))["result"]
-
-    async def stats(self) -> dict:
-        return (await self._call("stats"))["result"]
-
-    async def stream(self, key=None, job=None, priority=0):
-        """Async generator mirroring :meth:`ServiceClient.stream`."""
-        if (key is None) == (job is None):
-            raise ValueError("stream() takes exactly one of key= "
-                             "or job=")
-        if job is not None:
-            _, frame = self._next_request("submit", {
-                "job": job_document(job), "priority": priority,
-                "stream": True})
-        else:
-            _, frame = self._next_request("subscribe", {"key": key})
-        await self._send(frame)
-        first = job is not None
-        while True:
-            message = self._check(await self._recv_message())
-            if "event" in message:
-                yield ("event", message["event"])
-            elif message.get("end"):
-                yield ("end", message["result"])
-                return
-            elif first:
-                first = False
-                yield ("submitted", message["result"])
-            else:
-                raise ProtocolError(
-                    "request", "unexpected message mid-stream")

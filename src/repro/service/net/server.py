@@ -12,13 +12,21 @@ either wire dialect on the same core:
   ``GET /jobs/<key>/stream`` (chunked status events), ``GET /stats``,
   ``GET /healthz`` — so ``curl`` against the same port just works.
 
+Both dialects call one table of request handlers
+(``ServiceServer._HANDLERS``); a dialect keeps only its parser and its
+reply envelope.  A handler's structured error crosses either wire as
+its ``as_json`` body, and ``_ERROR_STATUS`` gives its HTTP status; any
+other exception is answered as an ``internal`` error (HTTP 500) and
+counted in ``internal_errors``.
+
 The event loop never simulates.  Submissions run
 ``SimulationService.submit`` on the default executor (journal fsyncs
-off the loop), execution happens on a dedicated *drain thread* that
-the loop wakes after each admission, and job status flows back
-through the :class:`~repro.service.net.bus.StatusBus` fed by the
-scheduler's lifecycle hooks — each streaming subscriber owns a
-bounded ``asyncio.Queue`` bridged with ``call_soon_threadsafe``.
+off the loop); the service's own background drainer executes the
+queue — the server wakes it after each submit that queued a job — and
+job status flows back through the
+:class:`~repro.service.net.bus.StatusBus` fed by the scheduler's
+lifecycle hooks; each streaming subscriber owns a bounded
+``asyncio.Queue`` bridged with ``call_soon_threadsafe``.
 
 Backpressure and protection, outermost first: a connection beyond
 ``max_connections`` (or arriving during drain) is shed with a
@@ -29,20 +37,19 @@ through an optional token table into a
 *people*, not sockets; frames and HTTP bodies beyond
 ``max_frame_bytes`` are rejected before buffering
 (413 / ``oversize``); a connection idle past ``idle_timeout_s`` is
-dropped; a streaming subscriber that cannot keep up has its queue
-reset to a single overflow marker and the stream is closed with a
-``slow_consumer`` error instead of buffering without bound.  The
-scheduler's own rejections (:class:`QuotaError` → 429,
-:class:`AdmissionError` → 503, :class:`JobTimeout`) cross the wire as
-their structured ``as_json`` forms.
+dropped; a streaming subscriber whose write stalls while events for
+its key keep arriving (cached re-submissions) has its queue reset to
+a single overflow marker at :data:`STREAM_QUEUE` events and the stream
+is closed with a ``slow_consumer`` error instead of buffering without
+bound.
 
 Graceful drain: ``SIGTERM``/``SIGINT`` (via :func:`run_server`) stops
-accepting, lets the drain thread finish every queued job —
-subscribers receive their terminal events — flushes and closes the
-journal, then closes remaining connections.  A ``kill -9`` instead
-loses nothing durable: the write-ahead journal replays on the next
-start, the server adopts the recovered futures, and wakes the drain
-thread to finish them.
+accepting, lets the service's drainer finish every queued job —
+subscribers receive their terminal events — stops the drainer,
+flushes and closes the journal, then closes remaining connections.  A
+``kill -9`` instead loses nothing durable: the write-ahead journal
+replays on the next start, the server adopts the recovered futures,
+and wakes the drainer to finish them.
 """
 
 import asyncio
@@ -62,6 +69,7 @@ from repro.service.net.protocol import (
     FrameDecoder,
     ProtocolError,
     encode_frame,
+    error_payload,
     error_response,
     response,
     stream_event,
@@ -91,12 +99,23 @@ _TERMINAL_OPS = {"done": "DONE", "cached": "CACHED",
                  "failed": "FAIL", "cancelled": "CANCEL",
                  "shed": "CANCEL", "rejected": "CANCEL"}
 
+#: Seconds a stream waits for its job's next status event before it
+#: ends with a ``timeout`` error.
+STREAM_TIMEOUT_S = 600.0
+#: Unsent events one stream may hold before it is shed.
+STREAM_QUEUE = 256
+#: Futures the server keeps addressable by key (least recent dropped
+#: first).
+MAX_FUTURES = 16384
+
+#: HTTP routes other than ``/jobs/<key>[/stream]``: path → (verb,
+#: handler name).
+_HTTP_ROUTES = {"/healthz": ("GET", "ping"), "/stats": ("GET", "stats"),
+                "/jobs": ("POST", "submit")}
+
 
 class AuthError(RuntimeError):
     """Structured rejection: the auth token did not resolve."""
-
-    def __init__(self, message):
-        super().__init__(message)
 
     def as_json(self) -> dict:
         return {"error": "auth", "message": str(self)}
@@ -113,13 +132,30 @@ class UnknownKeyError(KeyError):
         return {"error": "unknown_key", "key": self.key}
 
 
-class HttpError(Exception):
-    """An HTTP-level rejection with a status and structured body."""
+class WireError(Exception):
+    """A rejection that carries its own HTTP status and structured
+    body (malformed HTTP, unknown route, a shed stream)."""
 
     def __init__(self, status, payload):
         super().__init__(f"HTTP {status}")
         self.status = status
         self.payload = payload
+
+
+#: The HTTP status of each structured error a handler may raise, a
+#: subclass before its base.  The framed dialect sends the same
+#: ``as_json`` body in an error frame.  The ValueError family answers
+#: 400 as a ``protocol``/``request`` error; anything else is
+#: ``internal`` (500).
+_ERROR_STATUS = (
+    (AuthError, 401),
+    (QuotaError, 429),
+    (AdmissionError, 503),
+    (UnknownKeyError, 404),
+    (UnknownWorkloadError, 400),
+    (ProtocolError, 400),
+    (JobTimeout, 408),
+)
 
 
 class NetCounters:
@@ -130,7 +166,7 @@ class NetCounters:
         "connections", "active_connections", "frames_in",
         "frames_out", "http_requests", "rejected_auth", "shed",
         "protocol_errors", "idle_timeouts", "streaming_subscribers",
-        "stream_events", "submits", "drain_errors",
+        "stream_events", "submits", "internal_errors",
     )
 
     def __init__(self):
@@ -142,6 +178,86 @@ class NetCounters:
                 for field in self._FIELDS}
 
 
+async def _write_http(writer, status, payload):
+    body = (canonical_json(payload) + "\n").encode()
+    head = (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Error')}\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: close\r\n\r\n"
+    )
+    writer.write(head.encode() + body)
+    await writer.drain()
+
+
+class _FramedReply:
+    """Where one framed request's replies go: frames carrying its
+    id."""
+
+    def __init__(self, server, writer, request_id):
+        self._send = lambda message: server._send_frame(writer, message)
+        self._id = request_id
+        self.streaming = False
+
+    async def open(self):
+        self.streaming = True
+
+    async def send(self, record):
+        """A response that does not end the request (a streaming
+        submit's record)."""
+        await self._send(response(self._id, record))
+
+    async def event(self, event):
+        await self._send(stream_event(self._id, event))
+
+    async def finish(self, record):
+        await self._send(response(self._id, record,
+                                  end=self.streaming))
+
+    async def fail(self, status, error):
+        await self._send(error_response(self._id, error))
+
+
+class _HttpReply:
+    """Where one HTTP request's reply goes: one JSON response, or a
+    chunked NDJSON stream once the handler opens one."""
+
+    def __init__(self, writer):
+        self._writer = writer
+        self.streaming = False
+
+    async def open(self):
+        self.streaming = True
+        self._writer.write(
+            b"HTTP/1.1 200 OK\r\n"
+            b"Content-Type: application/x-ndjson\r\n"
+            b"Transfer-Encoding: chunked\r\n"
+            b"Connection: close\r\n\r\n")
+        await self._writer.drain()
+
+    async def _chunk(self, payload, last=False):
+        data = (canonical_json(payload) + "\n").encode()
+        self._writer.write(f"{len(data):x}\r\n".encode() + data
+                           + b"\r\n" + (b"0\r\n\r\n" if last else b""))
+        await self._writer.drain()
+
+    async def event(self, event):
+        await self._chunk({"event": event})
+
+    async def finish(self, record):
+        if self.streaming:
+            await self._chunk({"end": True, "result": record},
+                              last=True)
+        else:
+            await _write_http(self._writer, 200, record)
+
+    async def fail(self, status, error):
+        if self.streaming:
+            await self._chunk({"error": error}, last=True)
+        else:
+            await _write_http(self._writer, status, error)
+
+
 class ServiceServer:
     """One serving front-end over one :class:`SimulationService`."""
 
@@ -149,8 +265,7 @@ class ServiceServer:
                  auth_tokens=None, require_auth=False,
                  max_connections=256,
                  max_frame_bytes=MAX_FRAME_BYTES,
-                 idle_timeout_s=30.0, stream_timeout_s=600.0,
-                 stream_queue=256, max_futures=16384):
+                 idle_timeout_s=30.0):
         if unix_path is None and host is None:
             raise ValueError("need a unix_path and/or a host to bind")
         self.service = service
@@ -165,9 +280,6 @@ class ServiceServer:
         self.max_connections = int(max_connections)
         self.max_frame_bytes = int(max_frame_bytes)
         self.idle_timeout_s = float(idle_timeout_s)
-        self.stream_timeout_s = float(stream_timeout_s)
-        self.stream_queue = int(stream_queue)
-        self.max_futures = int(max_futures)
         self.counters = NetCounters()
         service.net = self.counters
         #: Attached before the listener sockets exist, so no event of
@@ -178,22 +290,12 @@ class ServiceServer:
         self._servers = []
         self._loop = None
         self._draining = False
-        self._shutdown_started = False
-        self._drain_wake = threading.Event()
-        self._drain_stop = False
-        self._drain_busy = False
-        self._drain_thread = None
 
     # -- lifecycle ----------------------------------------------------
 
     async def start(self):
-        """Bind the listeners and start the drain thread."""
+        """Bind the listeners and adopt journal-recovered jobs."""
         self._loop = asyncio.get_running_loop()
-        self._drain_thread = threading.Thread(
-            target=self._drain_loop, daemon=True,
-            name="repro-net-drain",
-        )
-        self._drain_thread.start()
         if self.unix_path is not None:
             self._servers.append(await asyncio.start_unix_server(
                 self._handle_connection, path=self.unix_path,
@@ -206,35 +308,27 @@ class ServiceServer:
             self.port = server.sockets[0].getsockname()[1]
             self._servers.append(server)
         # Adopt journal-recovered jobs: they are servable by key and
-        # the drain thread finishes them without waiting for traffic.
+        # the service's drainer finishes them without waiting for
+        # traffic.
         for future in self.service.recovered:
             self._remember(future)
         if self.service.queue_depth():
-            self._drain_wake.set()
+            self.service._wake_drainer()
         return self
 
-    async def shutdown(self, drain=True, timeout=30.0):
-        """Graceful stop: no new connections, finish in-flight work,
-        flush the journal, close what remains."""
-        if self._shutdown_started:
+    async def shutdown(self, timeout=30.0):
+        """Graceful stop: no new connections, let the service's
+        drainer finish queued work (for at most ``timeout`` seconds)
+        and stop, flush the journal, close what remains."""
+        if self._draining:
             return
-        self._shutdown_started = True
         self._draining = True
         for server in self._servers:
             server.close()
         for server in self._servers:
             await server.wait_closed()
-        if drain:
-            deadline = time.monotonic() + float(timeout)
-            while ((self.service.queue_depth() or self._drain_busy)
-                   and time.monotonic() < deadline):
-                self._drain_wake.set()
-                await asyncio.sleep(0.02)
-        self._drain_stop = True
-        self._drain_wake.set()
-        if self._drain_thread is not None:
-            await self._loop.run_in_executor(
-                None, self._drain_thread.join, 5.0)
+        await self._loop.run_in_executor(
+            None, self.service._stop_drainer, timeout)
         if self.service.journal is not None:
             self.service.journal.close()
         for writer in list(self._writers):
@@ -253,28 +347,6 @@ class ServiceServer:
         if self.host is not None:
             out.append(f"tcp:{self.host}:{self.port}")
         return out
-
-    # -- the drain thread ---------------------------------------------
-
-    def _drain_loop(self):
-        """Execute queued jobs off the event loop, on demand."""
-        while True:
-            self._drain_wake.wait()
-            self._drain_wake.clear()
-            try:
-                while self.service.queue_depth():
-                    self.service.drain()
-            except Exception:
-                self.counters.drain_errors += 1
-                time.sleep(0.05)
-            finally:
-                self._drain_busy = False
-            if self._drain_stop:
-                return
-
-    def _wake_drain(self):
-        self._drain_busy = True
-        self._drain_wake.set()
 
     # -- connection handling ------------------------------------------
 
@@ -310,8 +382,9 @@ class ServiceServer:
         except (ConnectionError, BrokenPipeError):
             pass
         except Exception:
-            # A handler bug must not take the accept loop down.
-            counters.drain_errors += 0  # placeholder: keep counters
+            # A bug outside any handler must not take the accept loop
+            # down; it is counted, and the connection closes.
+            counters.internal_errors += 1
         finally:
             counters.active_connections -= 1
             self._writers.discard(writer)
@@ -329,7 +402,34 @@ class ServiceServer:
             await self._send_frame(writer,
                                    error_response(None, error))
         else:
-            await self._write_http(writer, 503, error)
+            await _write_http(writer, 503, error)
+
+    async def _answer(self, reply, call, *args):
+        """Run one request's handler call and send its record — or
+        its error, with the status ``_ERROR_STATUS`` gives it —
+        through the dialect's ``reply``."""
+        try:
+            record = await call(*args, reply)
+        except ConnectionError:
+            raise
+        except Exception as exc:
+            await reply.fail(*self._error(exc))
+        else:
+            await reply.finish(record)
+
+    def _error(self, exc) -> tuple:
+        """``(HTTP status, structured body)`` for a handler's
+        exception."""
+        if isinstance(exc, WireError):
+            return exc.status, exc.payload
+        for cls, status in _ERROR_STATUS:
+            if isinstance(exc, cls):
+                return status, exc.as_json()
+        if isinstance(exc, (ValueError, TypeError, KeyError)):
+            return 400, ProtocolError(
+                "request", f"bad request: {exc}").as_json()
+        self.counters.internal_errors += 1
+        return 500, error_payload(exc)
 
     # -- framed protocol ----------------------------------------------
 
@@ -350,8 +450,16 @@ class ServiceServer:
                 return
             for message in messages:
                 self.counters.frames_in += 1
-                if not await self._dispatch_frame(message, writer):
+                if not isinstance(message, dict):
+                    self.counters.protocol_errors += 1
+                    await self._send_frame(writer, error_response(
+                        None, ProtocolError(
+                            "request", "message must be an object")))
                     return
+                await self._answer(
+                    _FramedReply(self, writer, message.get("id")),
+                    self._framed_call, message.get("method"),
+                    message.get("params") or {})
             try:
                 data = await asyncio.wait_for(
                     reader.read(65536), self.idle_timeout_s)
@@ -363,144 +471,29 @@ class ServiceServer:
             if not data:
                 return
 
-    async def _dispatch_frame(self, message, writer) -> bool:
-        """Handle one framed request; False closes the connection."""
-        if not isinstance(message, dict):
-            self.counters.protocol_errors += 1
-            await self._send_frame(writer, error_response(
-                None, ProtocolError("request",
-                                    "message must be an object")))
-            return False
-        request_id = message.get("id")
-        method = message.get("method")
-        params = message.get("params") or {}
-        try:
-            if method == "ping":
-                await self._send_frame(writer, response(request_id, {
-                    "pong": True, "version": PROTOCOL_VERSION,
-                    "draining": self._draining,
-                }))
-            elif method == "submit":
-                await self._frame_submit(request_id, params, writer)
-            elif method == "status":
-                record = self._lookup(
-                    params.get("key"),
-                    include_result=params.get("result", True))
-                await self._send_frame(writer,
-                                       response(request_id, record))
-            elif method == "result":
-                await self._frame_result(request_id, params, writer)
-            elif method == "subscribe":
-                await self._stream_frames(request_id,
-                                          params.get("key"), writer)
-            elif method == "cancel":
-                await self._frame_cancel(request_id, params, writer)
-            elif method == "stats":
-                from repro.analysis import service_stats
-                await self._send_frame(writer, response(
-                    request_id, service_stats(self.service)))
-            else:
-                await self._send_frame(writer, error_response(
-                    request_id, ProtocolError(
-                        "request", f"unknown method {method!r}")))
-        except UnknownWorkloadError as exc:
-            await self._send_frame(writer, error_response(
-                request_id, {"error": exc.code, "message": str(exc)}))
-        except (AuthError, AdmissionError, JobTimeout,
-                UnknownKeyError, ProtocolError) as exc:
-            await self._send_frame(writer,
-                                   error_response(request_id, exc))
-        except (ValueError, TypeError, KeyError) as exc:
-            await self._send_frame(writer, error_response(
-                request_id, ProtocolError(
-                    "request", f"bad request: {exc}")))
-        return True
-
-    async def _frame_submit(self, request_id, params, writer):
-        job = params.get("job")
-        tenant = self._resolve_tenant(params.get("auth"))
-        future = await self._submit(job, params.get("priority", 0),
-                                    tenant)
-        if params.get("stream"):
-            await self._send_frame(writer, response(
-                request_id, self._record(future, False)))
-            await self._stream_frames(request_id, future.key, writer)
-            return
-        wait = params.get("wait")
-        if wait is not None:
-            record = await self._wait_record(
-                future, float(wait),
-                include_result=params.get("result", True))
-        else:
-            record = self._record(
-                future, params.get("result", True))
-        await self._send_frame(writer, response(request_id, record))
-
-    async def _frame_result(self, request_id, params, writer):
-        key = params.get("key")
-        future = self._find_future(key)
-        if future is None:
-            record = self._lookup(key, include_result=True)
-            await self._send_frame(writer,
-                                   response(request_id, record))
-            return
-        timeout = float(params.get("timeout", 60.0))
-        record = await self._wait_record(future, timeout,
-                                         include_result=True)
-        await self._send_frame(writer, response(request_id, record))
-
-    async def _frame_cancel(self, request_id, params, writer):
-        key = params.get("key")
-        future = self._find_future(key)
-        if future is None:
-            raise UnknownKeyError(key)
-        cancelled = await self._loop.run_in_executor(
-            None, future.cancel)
-        await self._send_frame(writer, response(request_id, {
-            "key": key, "cancelled": cancelled,
-            "status": future.status,
-        }))
-
-    async def _stream_frames(self, request_id, key, writer):
-        async def send_event(event):
-            await self._send_frame(writer,
-                                   stream_event(request_id, event))
-
-        async def send_end(record):
-            await self._send_frame(writer,
-                                   response(request_id, record,
-                                            end=True))
-
-        async def send_error(error):
-            await self._send_frame(writer,
-                                   error_response(request_id, error))
-
-        await self._stream_to(key, send_event, send_end, send_error)
+    async def _framed_call(self, method, params, reply):
+        handler = (self._HANDLERS.get(method)
+                   if isinstance(method, str) else None)
+        if handler is None:
+            raise ProtocolError("request",
+                                f"unknown method {method!r}")
+        if not isinstance(params, dict):
+            raise ProtocolError("request", "params must be an object")
+        return await handler(self, params, reply)
 
     # -- HTTP adapter -------------------------------------------------
-
-    async def _write_http(self, writer, status, payload):
-        body = (canonical_json(payload) + "\n").encode()
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Error')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode() + body)
-        await writer.drain()
 
     async def _read_http(self, reader, head):
         buffer = bytearray(head)
         while b"\r\n\r\n" not in buffer:
             if len(buffer) > 32768:
-                raise HttpError(431, {
+                raise WireError(431, {
                     "error": "oversize",
                     "message": "request head exceeds 32768 bytes"})
             data = await asyncio.wait_for(reader.read(8192),
                                           self.idle_timeout_s)
             if not data:
-                raise HttpError(400, {
+                raise WireError(400, {
                     "error": "bad_request",
                     "message": "truncated request head"})
             buffer.extend(data)
@@ -508,7 +501,7 @@ class ServiceServer:
         lines = header_block.decode("latin-1").split("\r\n")
         parts = lines[0].split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            raise HttpError(400, {
+            raise WireError(400, {
                 "error": "bad_request",
                 "message": f"malformed request line {lines[0]!r}"})
         method, target = parts[0].upper(), parts[1]
@@ -519,11 +512,11 @@ class ServiceServer:
         try:
             length = int(headers.get("content-length") or 0)
         except ValueError:
-            raise HttpError(400, {
+            raise WireError(400, {
                 "error": "bad_request",
                 "message": "unparseable Content-Length"}) from None
         if length > self.max_frame_bytes:
-            raise HttpError(413, {
+            raise WireError(413, {
                 "error": "oversize", "length": length,
                 "limit": self.max_frame_bytes,
                 "message": "request body exceeds the frame limit"})
@@ -532,7 +525,7 @@ class ServiceServer:
             data = await asyncio.wait_for(reader.read(65536),
                                           self.idle_timeout_s)
             if not data:
-                raise HttpError(400, {
+                raise WireError(400, {
                     "error": "bad_request",
                     "message": "truncated request body"})
             body.extend(data)
@@ -541,34 +534,15 @@ class ServiceServer:
     async def _serve_http(self, reader, writer, head):
         self.counters.http_requests += 1
         try:
-            method, target, headers, body = await self._read_http(
-                reader, head)
-        except HttpError as exc:
-            await self._write_http(writer, exc.status, exc.payload)
+            request = await self._read_http(reader, head)
+        except WireError as exc:
+            await _write_http(writer, exc.status, exc.payload)
             return
         except asyncio.TimeoutError:
             self.counters.idle_timeouts += 1
             return
-        try:
-            await self._route_http(method, target, headers, body,
-                                   writer)
-        except HttpError as exc:
-            await self._write_http(writer, exc.status, exc.payload)
-        except AuthError as exc:
-            await self._write_http(writer, 401, exc.as_json())
-        except QuotaError as exc:
-            await self._write_http(writer, 429, exc.as_json())
-        except AdmissionError as exc:
-            await self._write_http(writer, 503, exc.as_json())
-        except UnknownWorkloadError as exc:
-            await self._write_http(writer, 400, {
-                "error": exc.code, "message": str(exc)})
-        except UnknownKeyError as exc:
-            await self._write_http(writer, 404, exc.as_json())
-        except (ValueError, TypeError, KeyError) as exc:
-            await self._write_http(writer, 400, {
-                "error": "bad_request",
-                "message": f"{type(exc).__name__}: {exc}"})
+        await self._answer(_HttpReply(writer), self._http_call,
+                           *request)
 
     def _http_token(self, headers):
         token = headers.get("x-repro-token")
@@ -579,130 +553,121 @@ class ServiceServer:
             return auth[7:].strip()
         return None
 
-    async def _route_http(self, method, target, headers, body,
-                          writer):
+    async def _http_call(self, method, target, headers, body, reply):
         path, _, query = target.partition("?")
-        params = dict(urllib.parse.parse_qsl(query))
-        if path == "/healthz":
-            if method != "GET":
-                raise HttpError(405, {"error": "method_not_allowed",
-                                      "method": method})
-            await self._write_http(writer, 200, {
-                "ok": True, "version": PROTOCOL_VERSION,
-                "draining": self._draining,
-                "queue_depth": self.service.queue_depth(),
-            })
-            return
-        if path == "/stats":
-            if method != "GET":
-                raise HttpError(405, {"error": "method_not_allowed",
-                                      "method": method})
-            from repro.analysis import service_stats
-            await self._write_http(writer, 200,
-                                   service_stats(self.service))
-            return
-        if path == "/jobs":
-            if method != "POST":
-                raise HttpError(405, {"error": "method_not_allowed",
-                                      "method": method})
-            await self._http_submit(params, headers, body, writer)
-            return
+        query = dict(urllib.parse.parse_qsl(query))
+        params = {"result": query.get("result") != "0"}
         if path.startswith("/jobs/"):
-            if method != "GET":
-                raise HttpError(405, {"error": "method_not_allowed",
-                                      "method": method})
-            rest = path[len("/jobs/"):]
-            if rest.endswith("/stream"):
-                key = rest[:-len("/stream")]
-                await self._http_stream(key, writer)
-                return
-            record = self._lookup(
-                rest, include_result=params.get("result") != "0")
-            await self._write_http(writer, 200, record)
-            return
-        raise HttpError(404, {"error": "not_found", "path": path})
+            key = params["key"] = path[len("/jobs/"):]
+            verb, name = "GET", "status"
+            if key.endswith("/stream"):
+                params["key"], name = key[:-len("/stream")], "subscribe"
+        elif path in _HTTP_ROUTES:
+            verb, name = _HTTP_ROUTES[path]
+        else:
+            raise WireError(404, {"error": "not_found", "path": path})
+        if method != verb:
+            raise WireError(405, {"error": "method_not_allowed",
+                                  "method": method})
+        if name == "submit":
+            return await self._http_submit(query, headers, body, reply)
+        return await self._HANDLERS[name](self, params, reply)
 
-    async def _http_submit(self, params, headers, body, writer):
+    async def _http_submit(self, query, headers, body, reply):
+        """``POST /jobs``: one job, or a ``{"jobs": [...]}`` batch,
+        each entry through the submit handler.  ``?wait=`` is one
+        deadline for the whole batch; a batch entry's admission,
+        kind or document error becomes a ``rejected`` record."""
         try:
             document = json.loads(body or b"{}")
         except ValueError as exc:
-            raise HttpError(400, {
+            raise WireError(400, {
                 "error": "bad_request",
                 "message": f"body is not JSON: {exc}"}) from None
         if not isinstance(document, dict):
-            raise HttpError(400, {"error": "bad_request",
+            raise WireError(400, {"error": "bad_request",
                                   "message": "body must be an object"})
-        tenant = self._resolve_tenant(self._http_token(headers))
-        wait = float(params["wait"]) if "wait" in params else None
-        if "jobs" in document:
-            jobs = document["jobs"]
-            batch = True
-        else:
-            jobs = [document.get("job", document)]
-            batch = False
+        token = self._http_token(headers)
+        self._resolve_tenant(token)  # a bad token fails the request
+        wait = float(query["wait"]) if "wait" in query else None
+        batch = "jobs" in document
+        jobs = document["jobs"] if batch else [document.get("job",
+                                                            document)]
         default_priority = document.get("priority", 0)
-        records = []
         deadline = (time.monotonic() + wait
                     if wait is not None else None)
+        records = []
         for entry in jobs:
+            params = {"job": entry, "auth": token,
+                      "result": wait is not None,
+                      "priority": (entry if isinstance(entry, dict)
+                                   else {}).get("priority",
+                                                default_priority)}
+            if deadline is not None:
+                params["wait"] = max(0.001,
+                                     deadline - time.monotonic())
             try:
-                future = await self._submit(
-                    entry, entry.get("priority", default_priority)
-                    if isinstance(entry, dict) else default_priority,
-                    tenant)
+                records.append(await self._submit_job(params, reply))
             except (AdmissionError, UnknownWorkloadError,
                     ProtocolError) as exc:
                 if not batch:
                     raise
-                if isinstance(exc, UnknownWorkloadError):
-                    error = {"error": exc.code, "message": str(exc)}
-                else:
-                    error = exc.as_json()
                 records.append({"status": "rejected",
-                                "error": error})
-                continue
-            if deadline is not None:
-                remaining = max(0.001, deadline - time.monotonic())
-                records.append(await self._wait_record(
-                    future, remaining, include_result=True))
-            else:
-                records.append(self._record(future, False))
-        payload = {"jobs": records} if batch else records[0]
-        await self._write_http(writer, 200, payload)
+                                "error": exc.as_json()})
+        return {"jobs": records} if batch else records[0]
 
-    async def _http_stream(self, key, writer):
-        if not self._known_key(key):
+    # -- the request handlers (one table, both dialects) ----------------
+
+    async def _ping(self, params, reply):
+        # One body for ``ping`` and ``GET /healthz``.
+        return {"ok": True, "pong": True, "version": PROTOCOL_VERSION,
+                "draining": self._draining,
+                "queue_depth": self.service.queue_depth()}
+
+    async def _stats(self, params, reply):
+        from repro.analysis import service_stats
+        return service_stats(self.service)
+
+    async def _submit_job(self, params, reply):
+        tenant = self._resolve_tenant(params.get("auth"))
+        future = await self._submit(params.get("job"),
+                                    params.get("priority", 0), tenant)
+        if params.get("stream"):
+            await reply.send(self._record(future, include_result=False))
+            return await self._stream(future, future.key, None, reply)
+        include_result = params.get("result", True)
+        if params.get("wait") is None:
+            return self._record(future, include_result=include_result)
+        return await self._wait_record(future, float(params["wait"]),
+                                       include_result)
+
+    async def _status(self, params, reply):
+        return self._record(*self._find(params.get("key")),
+                            include_result=params.get("result", True))
+
+    async def _result(self, params, reply):
+        future, key, value = self._find(params.get("key"))
+        if future is None:
+            return self._record(None, key, value)
+        return await self._wait_record(
+            future, float(params.get("timeout", 60.0)), True)
+
+    async def _subscribe(self, params, reply):
+        return await self._stream(*self._find(params.get("key")),
+                                  reply)
+
+    async def _cancel(self, params, reply):
+        future, key, _ = self._find(params.get("key"))
+        if future is None:
             raise UnknownKeyError(key)
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: application/x-ndjson\r\n"
-            "Transfer-Encoding: chunked\r\n"
-            "Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode())
-        await writer.drain()
+        cancelled = await self._loop.run_in_executor(
+            None, future.cancel)
+        return {"key": key, "cancelled": cancelled,
+                "status": future.status}
 
-        async def chunk(payload):
-            data = (canonical_json(payload) + "\n").encode()
-            writer.write(f"{len(data):x}\r\n".encode() + data
-                         + b"\r\n")
-            await writer.drain()
-
-        async def send_event(event):
-            await chunk({"event": event})
-
-        async def send_end(record):
-            await chunk({"end": True, "result": record})
-            writer.write(b"0\r\n\r\n")
-            await writer.drain()
-
-        async def send_error(error):
-            from repro.service.net.protocol import error_payload
-            await chunk({"error": error_payload(error)})
-            writer.write(b"0\r\n\r\n")
-            await writer.drain()
-
-        await self._stream_to(key, send_event, send_end, send_error)
+    _HANDLERS = {"ping": _ping, "stats": _stats, "submit": _submit_job,
+                 "status": _status, "result": _result,
+                 "subscribe": _subscribe, "cancel": _cancel}
 
     # -- shared serving core ------------------------------------------
 
@@ -744,7 +709,7 @@ class ServiceServer:
     def _remember(self, future):
         self._futures[future.key] = future
         self._futures.move_to_end(future.key)
-        while len(self._futures) > self.max_futures:
+        while len(self._futures) > MAX_FUTURES:
             self._futures.popitem(last=False)
 
     def _submit_sync(self, document, priority, tenant):
@@ -754,7 +719,7 @@ class ServiceServer:
         self._remember(future)
         self.counters.submits += 1
         if not future.done():
-            self._wake_drain()
+            self.service._wake_drainer()
         return future
 
     async def _submit(self, document, priority, tenant):
@@ -763,145 +728,111 @@ class ServiceServer:
         return await self._loop.run_in_executor(
             None, self._submit_sync, document, priority, tenant)
 
-    def _record(self, future, include_result) -> dict:
-        record = future.as_json()
-        if include_result and future.status in ("done", "cached"):
-            record["result"] = future.value
+    def _find(self, key):
+        """The job behind ``key``: ``(future, key, None)`` while the
+        server or the scheduler holds its future, else ``(None, key,
+        value)`` from one read of the result store.  Raises
+        :class:`UnknownKeyError` when neither knows it."""
+        if isinstance(key, str) and key:
+            future = (self._futures.get(key)
+                      or self.service._inflight.get(key))
+            if future is not None:
+                return future, key, None
+            if self.service.cache is not None:
+                value = self.service.cache.get(key)
+                if value is not None:
+                    return None, key, value
+        raise UnknownKeyError(key)
+
+    @staticmethod
+    def _record(future, key=None, value=None,
+                include_result=True) -> dict:
+        """A job's wire record: its future's, or — with no future — a
+        record of the stored result ``value`` under ``key``."""
+        if future is None:
+            record = {"key": key, "status": "cached",
+                      "digest": payload_digest(value)}
+        else:
+            record = future.as_json()
+            include_result = (include_result
+                              and future.status in ("done", "cached"))
+            value = future.value
+        if include_result:
+            record["result"] = value
         return record
 
     async def _wait_record(self, future, timeout, include_result):
         def wait():
             try:
                 future.result(timeout=max(0.0, timeout))
-            except (JobTimeout, JobError):
+            except JobError:
                 pass  # the record carries the status either way
-            return self._record(future, include_result)
+            return self._record(future, include_result=include_result)
         return await self._loop.run_in_executor(None, wait)
 
-    def _find_future(self, key):
-        future = self._futures.get(key)
-        if future is not None:
-            return future
-        return self.service._inflight.get(key)
+    @staticmethod
+    def _terminal_event(future) -> dict:
+        """The terminal event of a finished future whose live events
+        the bus no longer holds."""
+        op = _TERMINAL_OPS.get(future.status, "CANCEL")
+        event = {"op": op, "state": EVENT_STATES[op],
+                 "key": future.key, "kind": future.job.kind,
+                 "priority": future.priority, "tenant": future.tenant}
+        digest = future.digest()
+        if digest is not None:
+            event["digest"] = digest
+        if future.error is not None:
+            event["error"] = str(future.error)
+        return event
 
-    def _known_key(self, key) -> bool:
-        if not isinstance(key, str) or not key:
-            return False
-        if self._find_future(key) is not None:
-            return True
-        if self.bus.last_event(key) is not None:
-            return True
-        return (self.service.cache is not None
-                and self.service.cache.get(key) is not None)
-
-    def _lookup(self, key, include_result=True) -> dict:
-        if not isinstance(key, str) or not key:
-            raise UnknownKeyError(key)
-        future = self._find_future(key)
-        if future is not None:
-            return self._record(future, include_result)
-        if self.service.cache is not None:
-            value = self.service.cache.get(key)
-            if value is not None:
-                record = {"key": key, "status": "cached",
-                          "digest": payload_digest(value)}
-                if include_result:
-                    record["result"] = value
-                return record
-        raise UnknownKeyError(key)
-
-    def _synthesize_terminal(self, key):
-        """A terminal event for a job that finished before anyone
-        could observe it live (pre-restart completions served from
-        cache, or futures that resolved before the bus existed)."""
-        future = self._futures.get(key)
-        if future is not None and future.done():
-            op = _TERMINAL_OPS.get(future.status, "CANCEL")
-            event = {"op": op, "state": EVENT_STATES[op],
-                     "key": key, "kind": future.job.kind,
-                     "priority": future.priority,
-                     "tenant": future.tenant}
-            digest = future.digest()
-            if digest is not None:
-                event["digest"] = digest
-            if future.error is not None:
-                event["error"] = str(future.error)
-            return event
-        if self.service.cache is not None:
-            value = self.service.cache.get(key)
-            if value is not None:
-                return {"op": "CACHED", "state": "DONE", "key": key,
-                        "digest": payload_digest(value)}
-        return None
-
-    def _terminal_record(self, key, event) -> dict:
-        future = self._futures.get(key)
-        if future is not None and future.done():
-            return self._record(future, include_result=True)
-        record = {"key": key, "status": "cached",
-                  "digest": event.get("digest")}
-        if self.service.cache is not None:
-            value = self.service.cache.get(key)
-            if value is not None:
-                record["result"] = value
-        return record
-
-    async def _stream_to(self, key, send_event, send_end,
-                         send_error):
-        """The streaming core: bus events for ``key`` until terminal,
-        then the completion record with its result payload."""
-        if not self._known_key(key):
-            await send_error(UnknownKeyError(key))
-            return
-        queue = asyncio.Queue(maxsize=self.stream_queue)
+    async def _stream(self, future, key, value, reply):
+        """Send bus events for ``key`` until a terminal one, then
+        return the completion record.  A key with no bus history gets
+        one synthesized terminal event: from its finished future, or
+        from its stored ``value``."""
+        queue = asyncio.Queue(maxsize=STREAM_QUEUE)
+        loop = self._loop
 
         def offer(event):
             try:
                 queue.put_nowait(event)
             except asyncio.QueueFull:
-                # A subscriber that cannot keep up does not get an
-                # unbounded buffer: reset to one overflow marker and
-                # let the consumer shut the stream down.
-                while True:
-                    try:
-                        queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                queue.put_nowait({"op": "__overflow__"})
+                # Reset to one overflow marker (None); the consumer
+                # sheds the stream when it reaches it.
+                while not queue.empty():
+                    queue.get_nowait()
+                queue.put_nowait(None)
 
-        loop = self._loop
-
-        def callback(event):
-            loop.call_soon_threadsafe(offer, event)
-
-        subscription = self.bus.subscribe(callback, key=key)
+        await reply.open()
+        subscription = self.bus.subscribe(
+            lambda event: loop.call_soon_threadsafe(offer, event),
+            key=key)
         self.counters.streaming_subscribers += 1
         try:
+            stored = (self._record(None, key, value)
+                      if future is None else None)
             if self.bus.last_event(key) is None:
-                terminal = self._synthesize_terminal(key)
-                if terminal is not None:
-                    offer(terminal)
-            if self.service.queue_depth():
-                self._wake_drain()
+                if stored is not None:
+                    offer({"op": "CACHED", "state": "DONE", "key": key,
+                           "digest": stored["digest"]})
+                elif future.done():
+                    offer(self._terminal_event(future))
             while True:
                 try:
-                    event = await asyncio.wait_for(
-                        queue.get(), self.stream_timeout_s)
+                    event = await asyncio.wait_for(queue.get(),
+                                                   STREAM_TIMEOUT_S)
                 except asyncio.TimeoutError:
-                    await send_error(JobTimeout(
-                        key, self.stream_timeout_s, "streaming"))
-                    return
-                if event.get("op") == "__overflow__":
+                    raise JobTimeout(key, STREAM_TIMEOUT_S,
+                                     "streaming") from None
+                if event is None:
                     self.counters.shed += 1
-                    await send_error({
+                    raise WireError(503, {
                         "error": "slow_consumer", "key": key,
                         "message": "subscriber queue overflowed"})
-                    return
                 self.counters.stream_events += 1
-                await send_event(event)
+                await reply.event(event)
                 if is_terminal(event):
-                    await send_end(self._terminal_record(key, event))
-                    return
+                    return stored or self._record(future)
         finally:
             subscription.close()
             self.counters.streaming_subscribers -= 1

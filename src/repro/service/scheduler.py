@@ -29,7 +29,7 @@ simulator backend.  The scheduler's contract —
   so it is still delivered.  Drains are chunked when journaled so a
   ``kill -9`` mid-drain loses at most the chunk in flight.
 * **Bounded retry.**  A pool worker that dies mid-job is retried up
-  to ``max_retries`` times with exponential backoff (the ARQ
+  to :data:`MAX_RETRIES` times with exponential backoff (the ARQ
   discipline from ``repro.runtime.transport``); only then does the
   future fail.  Deterministic runner exceptions fail immediately.
 * **Cancellation.**  A queued future can be cancelled; the heap entry
@@ -50,7 +50,10 @@ the caller's thread, fanning out over the fork pool when
 under the service lock, execution happens *outside* it (so waiters
 can time out), and ``JobFuture.result()`` from any thread drains or
 waits as appropriate — ``result(timeout=…)`` raises a structured
-:class:`JobTimeout` instead of blocking forever.
+:class:`JobTimeout` instead of blocking forever.  A timed wait hands
+the queue to the service's one background drainer, a thread started
+on first use that sleeps until woken; the network front-end wakes it
+after each submit that queues a job.
 """
 
 import heapq
@@ -63,6 +66,14 @@ from repro.service.jobkey import JobSpec, job_key, payload_digest
 from repro.service.journal import JobJournal
 from repro.service.tenants import TenantTable
 from repro.service.workloads import UnknownTierError, execute_job
+
+#: Retries of a job whose pool worker died, and the backoff before
+#: the first (doubling per attempt).
+MAX_RETRIES = 2
+RETRY_BACKOFF_S = 0.05
+#: A drain compacts the journal once it exceeds this many segments'
+#: worth of bytes.
+COMPACT_SEGMENTS = 4
 
 #: Terminal future states.
 _DONE_STATES = ("done", "cached", "failed", "cancelled", "rejected",
@@ -217,9 +228,10 @@ class JobFuture:
         ``wait=True`` drains the service queue if the job is still
         pending; ``wait=False`` raises ``JobError`` when not done yet
         (poll with :meth:`done`).  ``timeout=`` (seconds) bounds the
-        wait: the drain runs on a background thread and a job that
-        has not reached a terminal state by the deadline raises a
-        structured :class:`JobTimeout` — never blocks forever.
+        wait: the service's background drainer runs the queue and a
+        job that has not reached a terminal state by the deadline
+        raises a structured :class:`JobTimeout` — never blocks
+        forever.
         Failed, cancelled, shed, and rejected jobs raise ``JobError``
         with the structured reason.
         """
@@ -270,9 +282,7 @@ class SimulationService:
 
     def __init__(self, cache=None, use_cache=True, max_pending=1024,
                  pool_jobs=None, journal_dir=None, journal=None,
-                 journal_fsync=True, journal_compact_bytes=None,
-                 tenants=None, shed_on_full=False, max_retries=2,
-                 retry_backoff_s=0.05):
+                 tenants=None, shed_on_full=False):
         #: ``cache=None`` with ``use_cache=True`` builds the default
         #: store; pass ``use_cache=False`` for a pure scheduler.
         self.cache = (cache or ResultCache()) if use_cache else None
@@ -282,12 +292,11 @@ class SimulationService:
         self.pool_jobs = pool_jobs
         self.tenants = tenants if tenants is not None else TenantTable()
         self.shed_on_full = bool(shed_on_full)
-        self.max_retries = max(0, int(max_retries))
-        self.retry_backoff_s = float(retry_backoff_s)
         self._lock = threading.RLock()
         self._resolved = threading.Condition(self._lock)
         self._drain_lock = threading.Lock()
-        self._drain_thread = None
+        self._drainer = None     # the background drain thread
+        self._drain_wake = threading.Event()
         self._heap = []          # (priority, seq, future)
         self._seq = 0
         self._inflight = {}      # key -> queued/running future
@@ -304,6 +313,7 @@ class SimulationService:
         self.shed = 0
         self.worker_retries = 0
         self.retried_ok = 0
+        self.drain_errors = 0    # exceptions the background drain hit
         self.queue_depth_hwm = 0
         self.queue_latency = LatencyTally()  # submit → drain
         self.run_latency = LatencyTally()    # pool cell wall
@@ -322,16 +332,8 @@ class SimulationService:
         #: Futures re-enqueued from the journal on construction.
         self.recovered = []
         if journal is not None or journal_dir is not None:
-            self.journal = journal or JobJournal(journal_dir,
-                                                 fsync=journal_fsync)
-            self.journal_compact_bytes = (
-                int(journal_compact_bytes)
-                if journal_compact_bytes is not None
-                else 4 * self.journal.segment_bytes
-            )
+            self.journal = journal or JobJournal(journal_dir)
             self._replay_journal()
-        else:
-            self.journal_compact_bytes = None
 
     # -- lifecycle events ---------------------------------------------
 
@@ -468,9 +470,8 @@ class SimulationService:
 
     def _maybe_compact(self):
         if (self.journal is not None
-                and self.journal_compact_bytes is not None
                 and self.journal.size_bytes()
-                > self.journal_compact_bytes):
+                > COMPACT_SEGMENTS * self.journal.segment_bytes):
             self.compact_journal()
 
     # -- submission ---------------------------------------------------
@@ -631,7 +632,7 @@ class SimulationService:
         """Execute one chunk through the fork pool and resolve it.
 
         Crashed workers (hard process deaths) are retried up to
-        ``max_retries`` times with exponential backoff before their
+        :data:`MAX_RETRIES` times with exponential backoff before their
         futures fail; deterministic runner exceptions fail
         immediately.  DONE/FAIL records are journaled with one fsync
         per chunk, *after* successful payloads enter the cache — so a
@@ -656,13 +657,13 @@ class SimulationService:
         isolate = resolve_jobs(pool_jobs) > 1
         sweep = run_cells(execute_job, payloads, jobs=pool_jobs,
                           isolate=isolate)
-        for attempt in range(1, self.max_retries + 1):
+        for attempt in range(1, MAX_RETRIES + 1):
             crashed = [i for i, cell in enumerate(sweep.results)
                        if not cell.ok and cell.crashed]
             if not crashed:
                 break
             self.worker_retries += len(crashed)
-            time.sleep(self.retry_backoff_s * (1 << (attempt - 1)))
+            time.sleep(RETRY_BACKOFF_S * (1 << (attempt - 1)))
             retry = run_cells(execute_job,
                               [payloads[i] for i in crashed],
                               jobs=pool_jobs, isolate=True)
@@ -744,25 +745,47 @@ class SimulationService:
             self._maybe_compact()
         return executed
 
-    def _drain_for_waiters(self):
-        try:
-            self.drain()
-        finally:
-            with self._resolved:
-                self._resolved.notify_all()
+    # -- the background drainer --------------------------------------
 
-    def _ensure_drain_thread(self):
+    def _wake_drainer(self):
+        """Have the background drainer run the queue, starting it on
+        first use.  A timed ``result()`` wakes it, and so does the
+        network front-end after each submit that queues a job."""
         with self._lock:
-            thread = self._drain_thread
-            if thread is not None and thread.is_alive():
-                return
-            thread = threading.Thread(target=self._drain_for_waiters,
-                                      daemon=True)
-            self._drain_thread = thread
-        thread.start()
+            if self._drainer is None:
+                self._drainer = threading.Thread(
+                    target=self._drain_loop, daemon=True,
+                    name="repro-drain")
+                self._drainer.start()
+        self._drain_wake.set()
+
+    def _drain_loop(self):
+        me = threading.current_thread()
+        # Once stopped, one more pass runs if a wake is pending.
+        while self._drainer is me or self._drain_wake.is_set():
+            self._drain_wake.wait()
+            # Cleared before the pass: a job queued during it wakes
+            # the flag again, so this pass or the next drains it.
+            self._drain_wake.clear()
+            try:
+                if self.queue_depth():
+                    self.drain()
+            except Exception:
+                self.drain_errors += 1
+
+    def _stop_drainer(self, timeout=30.0):
+        """Let the background drainer finish the queue, then stop it
+        (waiting at most ``timeout`` seconds).  A later wake starts a
+        fresh one."""
+        with self._lock:
+            thread, self._drainer = self._drainer, None
+        if thread is not None:
+            self._drain_wake.set()
+            thread.join(timeout)
 
     def _wait_for(self, future: JobFuture, timeout):
-        """Bounded wait for one future; drains on a background thread.
+        """Bounded wait for one future; the background drainer runs
+        the queue.
 
         A pure condition-variable wait: every terminal transition
         (resolve, cancel, shed) notifies ``_resolved``, so the waiter
@@ -776,7 +799,7 @@ class SimulationService:
         drain keeps running, so the job may still complete later.
         """
         deadline = time.monotonic() + float(timeout)
-        self._ensure_drain_thread()
+        self._wake_drainer()
         with self._resolved:
             while not future.done():
                 remaining = deadline - time.monotonic()
@@ -807,6 +830,7 @@ class SimulationService:
                 "shed": self.shed,
                 "worker_retries": self.worker_retries,
                 "retried_ok": self.retried_ok,
+                "drain_errors": self.drain_errors,
                 "queue_depth": len(self._inflight),
                 "queue_depth_hwm": self.queue_depth_hwm,
                 "queue_latency": self.queue_latency.rollup(),

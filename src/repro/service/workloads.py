@@ -31,6 +31,9 @@ class UnknownWorkloadError(KeyError):
     #: The structured error code the network front-end answers with.
     code = "unknown_kind"
 
+    def as_json(self) -> dict:
+        return {"error": self.code, "message": str(self)}
+
 
 class UnknownTierError(UnknownWorkloadError):
     """Raised when a job names a kernel tier this build does not run
