@@ -642,22 +642,27 @@ class ServiceServer:
                                        include_result)
 
     async def _status(self, params, reply):
-        return self._record(*self._find(params.get("key")),
+        future, stored = await self._find(params.get("key"))
+        return self._record(future, stored,
                             include_result=params.get("result", True))
 
     async def _result(self, params, reply):
-        future, key, value = self._find(params.get("key"))
+        future, stored = await self._find(params.get("key"))
         if future is None:
-            return self._record(None, key, value)
+            return stored
         return await self._wait_record(
             future, float(params.get("timeout", 60.0)), True)
 
     async def _subscribe(self, params, reply):
-        return await self._stream(*self._find(params.get("key")),
-                                  reply)
+        key = params.get("key")
+        future, stored = await self._find(key)
+        return await self._stream(future, key, stored, reply)
 
     async def _cancel(self, params, reply):
-        future, key, _ = self._find(params.get("key"))
+        # A job the store alone knows is finished: there is nothing to
+        # cancel, so the store is not read.
+        key = params.get("key")
+        future = self._known_future(key)
         if future is None:
             raise UnknownKeyError(key)
         cancelled = await self._loop.run_in_executor(
@@ -728,37 +733,50 @@ class ServiceServer:
         return await self._loop.run_in_executor(
             None, self._submit_sync, document, priority, tenant)
 
-    def _find(self, key):
-        """The job behind ``key``: ``(future, key, None)`` while the
-        server or the scheduler holds its future, else ``(None, key,
-        value)`` from one read of the result store.  Raises
-        :class:`UnknownKeyError` when neither knows it."""
-        if isinstance(key, str) and key:
-            future = (self._futures.get(key)
-                      or self.service._inflight.get(key))
-            if future is not None:
-                return future, key, None
-            if self.service.cache is not None:
-                value = self.service.cache.get(key)
-                if value is not None:
-                    return None, key, value
+    def _known_future(self, key):
+        """The future the server or the scheduler holds for ``key``,
+        or ``None``; a malformed key is an :class:`UnknownKeyError`."""
+        if not (isinstance(key, str) and key):
+            raise UnknownKeyError(key)
+        return self._futures.get(key) or self.service._inflight.get(key)
+
+    def _stored_record(self, key):
+        """The wire record, with its result, of the result the store
+        holds under ``key``, or ``None``: a disk read, a checksum and
+        a digest, so it runs in the executor."""
+        value = self.service.cache.get(key)
+        if value is None:
+            return None
+        return {"key": key, "status": "cached",
+                "digest": payload_digest(value), "result": value}
+
+    async def _find(self, key):
+        """The job behind ``key``: ``(future, None)`` while the server
+        or the scheduler holds its future, else ``(None, record)``
+        from one read of the result store, off the event loop.
+        Raises :class:`UnknownKeyError` when neither knows it."""
+        future = self._known_future(key)
+        if future is not None:
+            return future, None
+        if self.service.cache is not None:
+            stored = await self._loop.run_in_executor(
+                None, self._stored_record, key)
+            if stored is not None:
+                return None, stored
         raise UnknownKeyError(key)
 
     @staticmethod
-    def _record(future, key=None, value=None,
-                include_result=True) -> dict:
-        """A job's wire record: its future's, or — with no future — a
-        record of the stored result ``value`` under ``key``."""
+    def _record(future, stored=None, include_result=True) -> dict:
+        """A job's wire record: its future's, or — with no future —
+        the ``stored`` record from :meth:`_stored_record`."""
         if future is None:
-            record = {"key": key, "status": "cached",
-                      "digest": payload_digest(value)}
-        else:
-            record = future.as_json()
-            include_result = (include_result
-                              and future.status in ("done", "cached"))
-            value = future.value
-        if include_result:
-            record["result"] = value
+            record = dict(stored)
+            if not include_result:
+                del record["result"]
+            return record
+        record = future.as_json()
+        if include_result and future.status in ("done", "cached"):
+            record["result"] = future.value
         return record
 
     async def _wait_record(self, future, timeout, include_result):
@@ -785,11 +803,11 @@ class ServiceServer:
             event["error"] = str(future.error)
         return event
 
-    async def _stream(self, future, key, value, reply):
+    async def _stream(self, future, key, stored, reply):
         """Send bus events for ``key`` until a terminal one, then
         return the completion record.  A key with no bus history gets
         one synthesized terminal event: from its finished future, or
-        from its stored ``value``."""
+        from its ``stored`` record."""
         queue = asyncio.Queue(maxsize=STREAM_QUEUE)
         loop = self._loop
 
@@ -809,8 +827,6 @@ class ServiceServer:
             key=key)
         self.counters.streaming_subscribers += 1
         try:
-            stored = (self._record(None, key, value)
-                      if future is None else None)
             if self.bus.last_event(key) is None:
                 if stored is not None:
                     offer({"op": "CACHED", "state": "DONE", "key": key,

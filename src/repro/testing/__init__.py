@@ -7,14 +7,14 @@ turbo kernel (same-timestamp fast lane, resume trampolines,
 decoded-instruction cache and basic-block translation, memoized
 timing and batched vector-form chains).  They must be observationally
 identical.
-This package enforces that with seven generative fuzzers (CP-ISA
+This package enforces that with six generative fuzzers (CP-ISA
 programs, Occam programs, event schedules, vector workloads, fault
-schedules, machine-room chaos schedules attacking the
-:mod:`repro.service` layer with kills, journal damage, and cache
-corruption, and serving chaos schedules attacking the
-:mod:`repro.service.net` front-end with torn frames, hostile bytes,
-and mid-drain server kills), a structural diff oracle, a spec
-shrinker, and a golden-trace conformance suite.
+schedules, and machine-room chaos schedules attacking the
+:mod:`repro.service` layer in-process and over the wire with kill -9,
+journal and cache damage, and hostile bytes — payloads that do not
+depend on the tier, so their second run is a determinism re-run), a
+structural diff oracle, a spec shrinker, and a golden-trace
+conformance suite.
 
 Entry points:
 

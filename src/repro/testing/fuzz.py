@@ -25,8 +25,7 @@ import time
 
 from repro.parallel import resolve_jobs, run_cells
 from repro.testing import (
-    gen_cp, gen_events, gen_faults, gen_net, gen_occam, gen_service,
-    gen_vector,
+    gen_cp, gen_events, gen_faults, gen_occam, gen_service, gen_vector,
 )
 from repro.testing.oracle import differential
 from repro.testing.shrink import default_repro_dir, shrink, write_repro
@@ -35,7 +34,6 @@ GENERATORS = {
     "cp": gen_cp,
     "events": gen_events,
     "faults": gen_faults,
-    "net": gen_net,
     "occam": gen_occam,
     "service": gen_service,
     "vector": gen_vector,
@@ -141,8 +139,8 @@ def fuzz(seed: int, cases: int, budget_s: float, names, repro_dir,
             if deadline is not None and time.monotonic() > deadline:
                 print(f"budget exhausted after {executed} cases")
                 break
-            # Non-daemonic workers: chaos cases (service, net) open
-            # their own fork pools, which daemonic processes may not.
+            # Non-daemonic workers: service chaos cases open their
+            # own fork pools, which daemonic processes may not.
             sweep = run_cells(case_cell, cells[start:start + batch],
                               jobs=jobs, daemon=False)
             for cell, result in zip(cells[start:start + batch],
@@ -179,8 +177,7 @@ def main(argv=None) -> int:
     parser.add_argument("--generators",
                         default="cp,events,faults,occam,service,vector",
                         help="comma list from: cp,events,faults,"
-                             "net,occam,service,vector (net is "
-                             "opt-in: it spins up live servers)")
+                             "occam,service,vector")
     parser.add_argument("--repro-dir", default=None,
                         help="where to write reproducers "
                              "(default tests/repros/)")

@@ -18,6 +18,7 @@ same URGENT/heap ordering contract as everything else.
 
 import random
 
+from repro.analysis import reliability_stats
 from repro.core.machine import TSeriesMachine
 from repro.events import Engine, FaultLog
 from repro.runtime.transport import ReliableTransport
@@ -149,18 +150,7 @@ def execute(spec: dict) -> dict:
         "fault_log": eng.fault_log.as_json(),
         "results": results,
         "undelivered": [p.is_alive for p in mailmen],
-        "counters": {
-            "delivered": transport.delivered,
-            "retries": transport.retries,
-            "redeliveries": transport.redeliveries,
-            "checksum_failures": transport.checksum_failures,
-            "acks_sent": transport.acks_sent,
-            "naks_sent": transport.naks_sent,
-            "stale_drops": transport.stale_drops,
-            "halted_drops": transport.halted_drops,
-            "sends_failed": transport.sends_failed,
-            "relay_parity_faults": transport.relay_parity_faults,
-        },
+        "counters": reliability_stats(transport),
     }
     if injector is not None:
         outcome["injected"] = dict(sorted(injector.injected.items()))

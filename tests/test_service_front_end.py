@@ -2,9 +2,10 @@
 
 Pins the paths the framed protocol and the HTTP adapter share: a stream
 that outlives its timeout or overflows its queue, a key only the result
-store knows (a job finished before a restart), the table of structured
-errors and their HTTP statuses, a handler that fails outright, and the
-``python -m repro.service serve`` entry point under SIGTERM.
+store knows (a job finished before a restart) and its store read, which
+runs off the event loop, the table of structured errors and their HTTP
+statuses, a handler that fails outright, and the ``python -m
+repro.service serve`` entry point under SIGTERM.
 """
 
 import errno
@@ -14,7 +15,9 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -212,6 +215,43 @@ def test_key_known_only_from_the_store_after_a_restart(tmp_path):
         assert payload_digest(lines[1]["result"].pop("result")) == digest
         assert lines[1]["result"] == stored
         assert len(lines) == 2
+
+
+def test_store_read_for_a_status_runs_off_the_event_loop(tmp_path,
+                                                         monkeypatch):
+    cache_root = str(tmp_path / "cache")
+    first = SimulationService(cache=ResultCache(root=cache_root))
+    future = first.submit(JobSpec(kind="vector", spec=VEC_SPEC,
+                                  tier="turbo"))
+    future.result()
+    key, digest = future.key, future.digest()
+    service = SimulationService(cache=ResultCache(root=cache_root))
+    entered, release = threading.Event(), threading.Event()
+    read = service.cache.get
+
+    def blocked_get(wanted):
+        if wanted == key:
+            entered.set()
+            release.wait(5)
+        return read(wanted)
+
+    monkeypatch.setattr(service.cache, "get", blocked_get)
+    sock = str(tmp_path / "s.sock")
+    with ServerThread(service, unix_path=sock):
+        with ThreadPoolExecutor(1) as pool:
+            status = pool.submit(framed, sock, "status", key=key,
+                                 result=False)
+            assert entered.wait(5)
+            # The store read is stuck; a second connection is served.
+            start = time.monotonic()
+            pong = framed(sock, "ping")
+            waited = time.monotonic() - start
+            release.set()
+            reply = status.result(timeout=30)
+    assert pong["result"]["pong"] is True
+    assert waited < 0.2
+    assert reply["result"] == {"key": key, "status": "cached",
+                               "digest": digest}
 
 
 # -- the error table -------------------------------------------------------

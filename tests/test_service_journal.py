@@ -10,8 +10,6 @@ and the metering counters prove no job executed twice.
 
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
@@ -24,7 +22,8 @@ from repro.service import (
     payload_digest,
 )
 from repro.service.journal import _frame, _parse
-from repro.testing.gen_service import _pure_payload
+from repro.testing.gen_service import KILL_EXIT, _pure_payload, \
+    launch_killed
 
 
 def _only_segment(root):
@@ -240,23 +239,6 @@ def test_replay_is_deterministic_and_drain_is_incremental(tmp_path):
 
 # -- the kill -9 acceptance story ------------------------------------
 
-_CHILD = """
-import json, os, sys
-from repro.service import JobSpec, ResultCache, SimulationService
-
-with open(os.environ["KILL_TEST_SPEC"]) as handle:
-    bundle = json.load(handle)
-service = SimulationService(
-    cache=ResultCache(root=bundle["cache_dir"]),
-    journal_dir=bundle["journal_dir"],
-)
-for job in bundle["jobs"]:
-    service.submit(JobSpec(kind="service.chaos", spec=job,
-                           tier="turbo", tenant="acct"))
-service.drain(pool_jobs=1)
-"""
-
-
 def test_kill_nine_mid_drain_recovers_byte_identical(tmp_path):
     """ISSUE acceptance: kill -9 a 20-job drain, restart, compare."""
     jobs = [{"label": f"k{i:02d}", "x": 997 * (i + 1), "rounds": 4}
@@ -267,34 +249,19 @@ def test_kill_nine_mid_drain_recovers_byte_identical(tmp_path):
     expected = {job["label"]: payload_digest(_pure_payload(job))
                 for job in jobs}
 
-    bundle_path = tmp_path / "bundle.json"
-    bundle_path.write_text(json.dumps({
-        "jobs": jobs,
-        "journal_dir": str(tmp_path / "journal"),
-        "cache_dir": str(tmp_path / "cache"),
-    }))
-    import repro
-    src_root = os.path.dirname(os.path.dirname(
-        os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH",
-                                                        "")
-    env["KILL_TEST_SPEC"] = str(bundle_path)
-    env["REPRO_CHAOS_DIR"] = str(tmp_path)  # arms the kill marker
-    proc = subprocess.run([sys.executable, "-c", _CHILD], env=env,
-                          timeout=120)
-    assert proc.returncode == 9  # died mid-drain, as scheduled
+    pairs = [(JobSpec(kind="service.chaos", spec=job, tier="turbo",
+                      tenant="acct"), 0) for job in jobs]
+    # Died mid-drain, as scheduled.
+    assert launch_killed(str(tmp_path), "service", pairs) == KILL_EXIT
 
-    # Restart against the same journal.  REPRO_CHAOS_DIR is not set
-    # here, so the kill job completes like any other.
+    # Restart against the same journal.  The launcher left the kill
+    # disarmed, so the kill job completes like any other.
     revived = _service(tmp_path)
     replay = revived.journal_replay
     assert replay["recovered_pending"] == 13  # 7 durable before kill
     assert replay["done_in_cache"] == 7
-    futures = {job["label"]: revived.submit(
-                   JobSpec(kind="service.chaos", spec=job,
-                           tier="turbo", tenant="acct"))
-               for job in jobs}
+    futures = {job.spec["label"]: revived.submit(job)
+               for job, _ in pairs}
     revived.drain()
 
     for label, future in futures.items():

@@ -1,10 +1,7 @@
 """Network front-end: framing, status bus, server + client."""
 
-import json
 import os
 import socket
-import subprocess
-import sys
 import zlib
 
 import pytest
@@ -17,6 +14,7 @@ from repro.service import (
     ServiceClient,
     SimulationService,
     canonical_json,
+    job_key,
     payload_digest,
 )
 from repro.service.net import (
@@ -32,6 +30,8 @@ from repro.service.net import (
 )
 from repro.service.net.protocol import HEADER, MAGIC, request
 from repro.service.tenants import TenantTable
+from repro.testing.gen_service import KILL_EXIT, _pure_payload, \
+    launch_killed
 
 VEC_SPEC = {
     "kind": "vector",
@@ -384,87 +384,30 @@ def test_cancel_done_job_remotely_returns_false(tmp_path, service):
             assert out["status"] in ("done", "cached")
 
 
-KILL_SERVER = """
-import os, sys
-sys.path.insert(0, {src!r})
-from repro.service import SimulationService, ServiceClient, \\
-    ServerThread, ResultCache, JobSpec
-
-tmp = {tmp!r}
-service = SimulationService(
-    cache=ResultCache(root=os.path.join(tmp, "cache")),
-    journal_dir=os.path.join(tmp, "journal"))
-register = __import__("repro.service.workloads",
-                      fromlist=["register"]).register
-
-def runner(spec):
-    if spec.get("die") and not os.path.exists(
-            os.path.join(tmp, "died")):
-        open(os.path.join(tmp, "died"), "w").close()
-        os._exit(9)   # hard kill mid-drain, journal already has SUBMIT
-    return {{"value": spec["value"] * 3}}
-
-register("test.netkill", runner, replace=True)
-sock = os.path.join(tmp, "kill.sock")
-thread = ServerThread(service, unix_path=sock).start()
-with ServiceClient("unix:" + sock) as client:
-    for value in range(4):
-        client.submit({{"kind": "test.netkill",
-                        "spec": {{"value": value, "die": value == 2}},
-                        "tier": "turbo"}})
-    import time
-    time.sleep(30)   # killed long before this expires
-"""
-
-RECOVER_SERVER = """
-import os, sys, json
-sys.path.insert(0, {src!r})
-from repro.service import SimulationService, ServiceClient, \\
-    ServerThread, ResultCache
-
-tmp = {tmp!r}
-register = __import__("repro.service.workloads",
-                      fromlist=["register"]).register
-register("test.netkill", lambda spec: {{"value": spec["value"] * 3}},
-         replace=True)
-service = SimulationService(
-    cache=ResultCache(root=os.path.join(tmp, "cache")),
-    journal_dir=os.path.join(tmp, "journal"))
-sock = os.path.join(tmp, "kill2.sock")
-thread = ServerThread(service, unix_path=sock).start()
-with ServiceClient("unix:" + sock) as client:
-    records = [client.result(f.key, timeout=60)
-               for f in service.recovered]
-    print(json.dumps([{{"key": r["key"], "digest": r["digest"],
-                        "result": r["result"]}}
-                      for r in records], sort_keys=True))
-thread.stop()
-"""
-
-
 def test_kill_nine_mid_drain_then_restart_serves_journaled_work(
         tmp_path):
     """The durability story over the wire: a server killed -9 while
     draining loses nothing — a fresh server on the same journal
     adopts the pending jobs and serves byte-identical results."""
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    tmp = str(tmp_path)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         KILL_SERVER.format(src=src, tmp=tmp)],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 9, proc.stderr
-    assert os.path.exists(os.path.join(tmp, "died"))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         RECOVER_SERVER.format(src=src, tmp=tmp)],
-        capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    records = json.loads(out.stdout)
-    assert records, "restart recovered nothing from the journal"
-    for record in records:
-        assert record["result"] is not None
-        value = record["result"]["value"]
-        assert value % 3 == 0
-        assert record["digest"] == payload_digest(record["result"])
+    jobs = [{"label": f"n{i}", "x": 41 * (i + 1), "rounds": 3}
+            for i in range(4)]
+    jobs[2]["kill_service"] = True  # the server's drainer dies here
+    pairs = [(JobSpec(kind="service.chaos", spec=job, tier="turbo"), 0)
+             for job in jobs]
+    root = str(tmp_path)
+    assert launch_killed(root, "server", pairs) == KILL_EXIT
+
+    service = SimulationService(
+        cache=ResultCache(root=os.path.join(root, "cache")),
+        journal_dir=os.path.join(root, "journal"))
+    assert service.recovered, "restart recovered nothing from the journal"
+    expected = {job_key(job): payload_digest(_pure_payload(job.spec))
+                for job, _ in pairs}
+    sock = os.path.join(root, "restart.sock")
+    with ServerThread(service, unix_path=sock):
+        with ServiceClient("unix:" + sock) as client:
+            for future in service.recovered:
+                record = client.result(future.key, timeout=60)
+                assert record["digest"] == expected[future.key]
+                assert payload_digest(record["result"]) == \
+                    expected[future.key]

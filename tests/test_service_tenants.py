@@ -172,6 +172,28 @@ class TestShedding:
         with pytest.raises(AdmissionError):
             service.submit(_job("c"), tenant="batch")
 
+    def test_shed_job_stays_shed_across_a_restart(self, tmp_path):
+        from repro.service import ResultCache
+
+        def journaled():
+            tenants = TenantTable(clock=lambda: 0.0)
+            tenants.configure("low", precedence=0)
+            tenants.configure("high", precedence=5)
+            return SimulationService(
+                cache=ResultCache(root=str(tmp_path / "cache")),
+                journal_dir=str(tmp_path / "journal"),
+                tenants=tenants, max_pending=1, shed_on_full=True)
+
+        first = journaled()
+        low = first.submit(_job("low"), tenant="low")
+        high = first.submit(_job("high"), tenant="high")
+        assert low.status == "shed"
+        assert high.status == "queued"
+        # The shed is journaled: a restart owes only the survivor.
+        second = journaled()
+        assert second.journal_replay["recovered_pending"] == 1
+        assert [f.key for f in second.recovered] == [high.key]
+
     def test_shed_future_raises_structured_error(self):
         tenants = TenantTable(clock=lambda: 0.0)
         tenants.configure("batch", precedence=0)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.events.engine import force_kernel
 from repro.testing import gen_cp, gen_events, gen_faults, gen_occam, \
-    gen_vector
+    gen_service, gen_vector
 from repro.testing.fuzz import GENERATORS, fuzz, main
 from repro.testing.oracle import DiffReport, diff_outcomes, differential
 from repro.testing.shrink import shrink, spec_size, write_repro
@@ -225,8 +225,13 @@ class TestFaultGenerator:
     def test_link_faults_force_retries_yet_deliver(self):
         outcome = gen_faults.execute(self._burst_spec())
         assert outcome["undelivered"] == [False] * 8
+        # Exactly once, and each receiver gets its own message.
+        received = sorted(result[1:3] for result in outcome["results"]
+                          if result[0] == "recv")
+        assert received == [[index, index] for index in range(8)]
         assert outcome["counters"]["retries"] > 0
         assert outcome["counters"]["checksum_failures"] > 0
+        assert outcome["counters"]["frames_corrupted"] > 0
         assert outcome["counters"]["sends_failed"] == 0
         assert outcome["injected"]["link_transient"] > 0
         assert len(outcome["fault_log"]) > 0
@@ -273,3 +278,65 @@ class TestFaultGenerator:
                    for c in candidates)
         assert any(c["horizon_us"] == 1000 for c in candidates)
         assert any(len(c["messages"]) == 7 for c in candidates)
+
+
+class TestChaosGenerator:
+    """The machine-room chaos generator: every axis it must draw, and
+    a crafted server-front kill checked end to end."""
+
+    def _server_kill_spec(self):
+        # A 16-job batch sent over the wire, the server killed -9 by
+        # its drainer mid-batch, every attack, then a restart that
+        # must serve the whole batch and one stream byte-identical.
+        jobs = [{"label": f"w{i:02d}", "x": 47 * (i + 2), "rounds": 3,
+                 "priority": 0, "crash_worker": False}
+                for i in range(16)]
+        attacks = [{"name": name, "chunk": 3, "delta": 5, "junk": 4242}
+                   for name in gen_service.ATTACKS]
+        return {
+            "kind": "service", "front": "server", "jobs": jobs,
+            "phase1": 16, "kill": True, "kill_after": 8,
+            "damage": {"journal": None, "cache": None},
+            "attacks": attacks, "tenants": False, "quota_burst": None,
+        }
+
+    def test_draws_every_axis(self):
+        specs = [gen_service.generate(random.Random(seed))
+                 for seed in range(200)]
+        assert {s["front"] for s in specs if s["kill"]} == \
+            set(gen_service.FRONTS)
+        assert {a["name"] for s in specs for a in s["attacks"]} == \
+            set(gen_service.ATTACKS)
+        for part, modes in (("journal", {"truncate", "flip"}),
+                            ("cache", {"drop", "corrupt"})):
+            assert {s["damage"][part][0] for s in specs
+                    if s["damage"][part]} == modes
+        assert any(s["quota_burst"] is not None for s in specs)
+        crashing = [s for s in specs
+                    if any(j["crash_worker"] for j in s["jobs"])]
+        assert crashing
+        # A crash needs a fork pool: killed drains and the server's
+        # drainer run inline, where it would kill the process itself.
+        assert all(s["front"] == "service" and not s["kill"]
+                   for s in crashing)
+
+    def test_shrink_offers_one_candidate_per_dropped_attack(self):
+        spec = self._server_kill_spec()
+        names = [attack["name"] for attack in spec["attacks"]]
+        shorter = [[attack["name"] for attack in candidate["attacks"]]
+                   for candidate in gen_service.shrink_candidates(spec)
+                   if len(candidate["attacks"]) == len(names) - 1]
+        assert shorter == [names[:i] + names[i + 1:]
+                           for i in range(len(names))]
+
+    def test_server_kill_then_restart_serves_every_job(self):
+        report = differential(gen_service.execute,
+                              self._server_kill_spec(),
+                              invariant=gen_service.invariant)
+        assert not report.diverged, report.summary()
+        outcome = report.turbo
+        assert outcome["violations"] == []
+        assert outcome["child_exit"] == gen_service.KILL_EXIT
+        assert [job["ok"] for job in outcome["jobs"]] == [True] * 16
+        assert all(attack["ok"] for attack in outcome["attacks"])
+        assert outcome["stream_ok"] is True
