@@ -54,11 +54,16 @@ Subpackages
     analysis used by the benchmark harness.
 """
 
-from repro.core.specs import TSeriesSpecs, PAPER_SPECS
-from repro.core.config import MachineConfig
-from repro.core.machine import TSeriesMachine
+from repro import _lazy
 
 __version__ = "1.0.0"
+
+# Resolved on first use, so ``import repro.<leaf>`` loads no numpy.
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    "repro.core.specs": ("TSeriesSpecs", "PAPER_SPECS"),
+    "repro.core.config": ("MachineConfig",),
+    "repro.core.machine": ("TSeriesMachine",),
+})
 
 __all__ = [
     "TSeriesSpecs",

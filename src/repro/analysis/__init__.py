@@ -9,63 +9,37 @@ Public surface:
 * :class:`Table`, :func:`series` — bench output formatting.
 """
 
-from repro.analysis.balance import (
-    PAPER_RATIO,
-    PAPER_TIMES_US,
-    balance_table,
-    derived_ratio,
-    derived_times_ns,
-    ops_to_hide_gather,
-    ops_to_hide_link,
-)
-from repro.analysis.checkpoint_opt import (
-    best_interval,
-    expected_overhead_fraction,
-    interval_sweep,
-    mtbf_for_interval,
-    optimal_interval_band,
-    simulate_checkpointing,
-    young_interval_s,
-)
-from repro.analysis.overlap import (
-    knee_ops,
-    link_intensity_model,
-    measure_overlap,
-    overlap_efficiency_model,
-    overlap_sweep,
-)
-from repro.analysis.performance import (
-    bandwidth_mb_s,
-    efficiency,
-    mflops,
-    parallel_efficiency,
-    relative_error,
-    seconds,
-    speedup,
-)
-from repro.analysis.report import Table, series
-from repro.analysis.scaled_speedup import (
-    amdahl_speedup,
-    gustafson_speedup,
-    measured_scaled_saxpy,
-    measured_scaled_stencil,
-)
-from repro.analysis.tracing import (
-    TraceProbe,
-    all_fabric_links,
-    busiest_component,
-    engine_stats,
-    engine_stats_table,
-    flops_breakdown,
-    machine_utilization,
-    node_utilization,
-    recovery_stats,
-    reliability_stats,
-    service_stats,
-    service_stats_table,
-    sweep_timing_table,
-    utilization_table,
-)
+from repro import _lazy
+
+# Resolved on first use: the service layer imports the stats views
+# from ``repro.analysis.tracing`` without the simulator behind the
+# other modules.
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    "repro.analysis.balance": (
+        "PAPER_RATIO", "PAPER_TIMES_US", "balance_table",
+        "derived_ratio", "derived_times_ns", "ops_to_hide_gather",
+        "ops_to_hide_link"),
+    "repro.analysis.checkpoint_opt": (
+        "best_interval", "expected_overhead_fraction", "interval_sweep",
+        "mtbf_for_interval", "optimal_interval_band",
+        "simulate_checkpointing", "young_interval_s"),
+    "repro.analysis.overlap": (
+        "knee_ops", "link_intensity_model", "measure_overlap",
+        "overlap_efficiency_model", "overlap_sweep"),
+    "repro.analysis.performance": (
+        "bandwidth_mb_s", "efficiency", "mflops", "parallel_efficiency",
+        "relative_error", "seconds", "speedup"),
+    "repro.analysis.report": ("Table", "series"),
+    "repro.analysis.scaled_speedup": (
+        "amdahl_speedup", "gustafson_speedup", "measured_scaled_saxpy",
+        "measured_scaled_stencil"),
+    "repro.analysis.tracing": (
+        "TraceProbe", "all_fabric_links", "busiest_component",
+        "engine_stats", "engine_stats_table", "flops_breakdown",
+        "machine_utilization", "node_utilization", "recovery_stats",
+        "reliability_stats", "service_stats", "service_stats_table",
+        "sweep_timing_table", "utilization_table"),
+})
 
 __all__ = [
     "PAPER_RATIO",

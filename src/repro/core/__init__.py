@@ -7,24 +7,20 @@ links.  This package holds that composition; the parts live in their
 own substrate packages.
 """
 
-from repro.core.specs import TSeriesSpecs, PAPER_SPECS, NS_PER_S, MB
-from repro.core.config import (
-    MachineConfig,
-    MODULE,
-    CABINET,
-    FOUR_CABINET,
-    MAX_USABLE,
-)
-from repro.core.node import BankConflictError, ProcessorNode
-from repro.core.module import Module
-from repro.core.streaming import VectorStreamer
-from repro.core.machine import (
-    ROLE_HYPERCUBE,
-    ROLE_IO,
-    ROLE_SYSTEM,
-    SublinkPlan,
-    TSeriesMachine,
-)
+from repro import _lazy
+
+# Resolved on first use, so ``import repro.core.specs`` (the timing
+# constants every layer reads) loads no node model and no numpy.
+__getattr__, __dir__ = _lazy.exports(globals(), {
+    "repro.core.specs": ("TSeriesSpecs", "PAPER_SPECS", "NS_PER_S", "MB"),
+    "repro.core.config": ("MachineConfig", "MODULE", "CABINET",
+                          "FOUR_CABINET", "MAX_USABLE"),
+    "repro.core.node": ("BankConflictError", "ProcessorNode"),
+    "repro.core.module": ("Module",),
+    "repro.core.streaming": ("VectorStreamer",),
+    "repro.core.machine": ("ROLE_HYPERCUBE", "ROLE_IO", "ROLE_SYSTEM",
+                           "SublinkPlan", "TSeriesMachine"),
+})
 
 __all__ = [
     "BankConflictError",

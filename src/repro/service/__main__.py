@@ -42,7 +42,7 @@ import argparse
 import json
 import sys
 
-from repro.analysis import service_stats, service_stats_table
+from repro.analysis.tracing import service_stats, service_stats_table
 from repro.events.engine import KERNEL_TIERS
 from repro.service.api import load_batch, run_batch
 from repro.service.cache import ResultCache
@@ -74,7 +74,7 @@ def _emit(summary: dict, args, out=None):
         json.dump(summary, out, indent=2, sort_keys=True)
         out.write("\n")
         return
-    from repro.analysis import Table
+    from repro.analysis.report import Table
     table = Table(
         "Service batch summary",
         ["#", "kind", "status", "submits", "key", "digest",

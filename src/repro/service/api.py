@@ -72,7 +72,7 @@ def run_batch(service, jobs, timeout=None) -> dict:
     """
     import time as _time
 
-    from repro.analysis import service_stats
+    from repro.analysis.tracing import service_stats
     from repro.service.scheduler import JobError, JobTimeout
     futures = service.submit_batch(jobs)
     if timeout is None:

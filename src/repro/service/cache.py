@@ -138,12 +138,14 @@ class ResultCache:
         ``value`` must be JSON-normalised (the scheduler's payloads
         come off :func:`repro.parallel.run_cells`, which guarantees
         it); the embedded checksum is over its canonical JSON, so a
-        later read can prove byte-identity before serving it.
+        later read can prove byte-identity before serving it.  Returns
+        that checksum, the payload's :func:`payload_digest`.
         """
+        checksum = payload_digest(value)
         envelope = {
             "format": CACHE_FORMAT,
             "key": key,
-            "checksum": payload_digest(value),
+            "checksum": checksum,
             "value": value,
             "job": job,
         }
@@ -168,6 +170,7 @@ class ResultCache:
             self._disk_total += len(data)
         if self._disk_total is None or self._disk_total > self.disk_bytes:
             self._enforce_size_bound()
+        return checksum
 
     def clear(self):
         """Drop both tiers (the on-disk store too)."""

@@ -625,7 +625,7 @@ class ServiceServer:
                 "queue_depth": self.service.queue_depth()}
 
     async def _stats(self, params, reply):
-        from repro.analysis import service_stats
+        from repro.analysis.tracing import service_stats
         return service_stats(self.service)
 
     async def _submit_job(self, params, reply):

@@ -205,6 +205,7 @@ class JobFuture:
         self.tenant = tenant
         self.value = None
         self.error = None
+        self._digest = None  # payload_digest(value), once resolved
         #: How many submissions this future absorbed (1 = no dedup).
         self.submits = 1
         #: Seconds spent queued (submit → drain start) and running
@@ -250,10 +251,14 @@ class JobFuture:
         )
 
     def digest(self):
-        """SHA-256 of the result payload (None until done)."""
+        """SHA-256 of the result payload (None until done), computed
+        once per future: the journal record, the lifecycle event and
+        every wire record reuse it."""
         if self.status not in ("done", "cached"):
             return None
-        return payload_digest(self.value)
+        if self._digest is None:
+            self._digest = payload_digest(self.value)
+        return self._digest
 
     def as_json(self) -> dict:
         record = {
@@ -543,8 +548,7 @@ class SimulationService:
                     future = JobFuture(self, job, key, priority,
                                        "cached", tenant=tenant)
                     future.value = value
-                    self._emit("CACHED", future,
-                               digest=payload_digest(value))
+                    self._emit("CACHED", future, digest=future.digest())
                     return future
             if not self.tenants.admit(tenant):
                 self.quota_rejected += 1
@@ -683,16 +687,16 @@ class SimulationService:
                 self.run_latency.add(cell.wall_s)
                 if cell.ok:
                     if self.cache is not None:
-                        self.cache.put(future.key, cell.value,
-                                       job=future.job.payload())
+                        # The envelope checksum is the payload digest.
+                        future._digest = self.cache.put(
+                            future.key, cell.value,
+                            job=future.job.payload())
                     future.value = cell.value
                     future.status = "done"
                     self.executed += 1
                     self.tenants.note(future.tenant, "executed")
-                    records.append({
-                        "op": "DONE", "key": future.key,
-                        "digest": payload_digest(cell.value),
-                    })
+                    records.append({"op": "DONE", "key": future.key,
+                                    "digest": future.digest()})
                 else:
                     future.error = cell.error
                     future.status = "failed"
@@ -707,8 +711,7 @@ class SimulationService:
             # same write-ahead discipline a subscriber observes).
             for future in chunk:
                 if future.status == "done":
-                    self._emit("DONE", future,
-                               digest=payload_digest(future.value))
+                    self._emit("DONE", future, digest=future.digest())
                 else:
                     self._emit("FAIL", future, error=future.error)
             self._resolved.notify_all()

@@ -62,9 +62,11 @@ class _Runner:
 
 _RUNNERS = {}
 
-#: Built-in kinds, loaded on first use so importing the service layer
-#: stays cheap.  Each value is ``(module, attribute)``; the attribute
-#: is a ``execute(spec) -> dict`` function.
+#: Built-in kinds, each imported when a job of that kind is first
+#: addressed, so a served process loads no simulator package until it
+#: needs one (``tests/test_package_imports.py`` counts).  Each value is
+#: ``(module, attribute)``; the attribute is a ``execute(spec) -> dict``
+#: function.
 _BUILTINS = {
     "cp": ("repro.testing.gen_cp", "execute"),
     "events": ("repro.testing.gen_events", "execute"),

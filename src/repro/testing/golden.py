@@ -15,6 +15,11 @@ Unlike the fuzzer, which samples fresh behaviour every run, the golden
 suite pins *specific* behaviour forever: the same seven workloads, the
 same traces, bit-identical (floats are serialised as bit-pattern hex
 where they appear).
+
+Each workload imports its generator when it runs: the job-key
+semantics fingerprint (:func:`repro.service.jobkey.semantics_fingerprint`)
+reads only this registry's names and the stored files, so addressing a
+job loads no simulator package.
 """
 
 import hashlib
@@ -22,7 +27,6 @@ import json
 import os
 
 from repro.events.engine import KERNEL_TIERS, force_kernel
-from repro.testing import gen_cp, gen_events, gen_occam, gen_vector
 
 #: Fixed specs, one per generator, chosen to cover the interesting
 #: machinery: prefix chains + loops + calls + a self-modifying patch
@@ -136,18 +140,22 @@ _VECTOR_SPEC = {
 
 
 def _workload_cp():
+    from repro.testing import gen_cp
     return gen_cp.execute(_CP_SPEC)
 
 
 def _workload_events():
+    from repro.testing import gen_events
     return gen_events.execute(_EVENTS_SPEC)
 
 
 def _workload_occam():
+    from repro.testing import gen_occam
     return gen_occam.execute(_OCCAM_SPEC)
 
 
 def _workload_vector():
+    from repro.testing import gen_vector
     return gen_vector.execute(_VECTOR_SPEC)
 
 
@@ -165,6 +173,7 @@ def _workload_occam_optimized():
     from repro.cp.assembler import assemble
     from repro.occam.aot import compile_blocks
     from repro.occam.compiler import OccamCompiler
+    from repro.testing import gen_occam
 
     outcome = gen_occam.execute(_OCCAM_OPT_SPEC)
     compiler = OccamCompiler(opt_level=2)

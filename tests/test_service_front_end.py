@@ -3,7 +3,8 @@
 Pins the paths the framed protocol and the HTTP adapter share: a stream
 that outlives its timeout or overflows its queue, a key only the result
 store knows (a job finished before a restart) and its store read, which
-runs off the event loop, the table of structured errors and their HTTP
+runs off the event loop, the one payload digest an executed job or a
+memory hit computes, the table of structured errors and their HTTP
 statuses, a handler that fails outright, and the ``python -m
 repro.service serve`` entry point under SIGTERM.
 """
@@ -252,6 +253,37 @@ def test_store_read_for_a_status_runs_off_the_event_loop(tmp_path,
     assert waited < 0.2
     assert reply["result"] == {"key": key, "status": "cached",
                                "digest": digest}
+
+
+def test_one_payload_digest_per_executed_job_and_per_memory_hit(
+        tmp_path, monkeypatch):
+    # The cache envelope's checksum, the DONE record, the lifecycle
+    # event and the reply share one digest per future.
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return payload_digest(value)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("repro.service")
+                and vars(module).get("payload_digest") is payload_digest):
+            monkeypatch.setattr(module, "payload_digest", counted)
+    journal_dir = str(tmp_path / "journal")
+    service = SimulationService(cache=ResultCache(
+        root=str(tmp_path / "cache")), journal_dir=journal_dir)
+    sock = str(tmp_path / "s.sock")
+    with ServerThread(service, unix_path=sock):
+        cold = framed(sock, "submit", job=vec_doc(seed=41), wait=30)
+        executed = len(calls)
+        hit = framed(sock, "submit", job=vec_doc(seed=41), wait=30)
+    assert (cold["result"]["status"], hit["result"]["status"]) == (
+        "done", "cached")
+    assert (executed, len(calls) - executed) == (1, 1)
+    digest = payload_digest(cold["result"]["result"])
+    assert cold["result"]["digest"] == hit["result"]["digest"] == digest
+    assert JobJournal(journal_dir).replay().done == {
+        cold["result"]["key"]: digest}
 
 
 # -- the error table -------------------------------------------------------
