@@ -249,7 +249,8 @@ def service_stats(service) -> dict:
     (``served_from_cache_fraction`` — cache hits over terminal
     submissions), dedup proof (``coalesced``), queue pressure
     (``queue_depth``, ``queue_depth_hwm``), per-job latency rollups
-    (``queue_latency``, ``run_latency``), and the cache tier's own
+    (``queue_latency``, ``run_latency``), lifecycle watchers that
+    raised (``listener_errors``), and the cache tier's own
     counters under ``cache`` (memory/disk hits, misses, stores,
     corruption and size evictions, full disk scans) or ``None`` when
     the service runs uncached.
@@ -271,6 +272,7 @@ def service_stats(service) -> dict:
         "worker_retries": raw.get("worker_retries", 0),
         "retried_ok": raw.get("retried_ok", 0),
         "drain_errors": raw.get("drain_errors", 0),
+        "listener_errors": raw.get("listener_errors", 0),
         "served_from_cache_fraction": (
             raw["cache_hits"] / answered if answered else 0.0
         ),
@@ -292,8 +294,8 @@ def service_stats_table(service, title="Service profile") -> Table:
     for key in ("submissions", "cache_hits", "coalesced", "executed",
                 "failed", "cancelled", "rejected", "quota_rejected",
                 "shed", "worker_retries", "retried_ok",
-                "served_from_cache_fraction", "queue_depth",
-                "queue_depth_hwm"):
+                "listener_errors", "served_from_cache_fraction",
+                "queue_depth", "queue_depth_hwm"):
         table.add(key, stats.get(key, 0))
     for family in ("queue_latency", "run_latency"):
         rollup = stats[family]

@@ -39,7 +39,6 @@ from repro.service.net import (
     ServerThread,
     ServiceClient,
     ServiceServer,
-    StatusBus,
     run_server,
 )
 from repro.service.scheduler import (
@@ -74,7 +73,6 @@ __all__ = [
     "ServiceClient",
     "ServiceServer",
     "SimulationService",
-    "StatusBus",
     "TenantTable",
     "UnknownWorkloadError",
     "canonical_json",

@@ -2,16 +2,15 @@
 
 Layers, bottom up: :mod:`~repro.service.net.protocol` (CRC-checked
 length-prefixed JSON frames, protocol versioning, structured wire
-errors), :mod:`~repro.service.net.bus` (in-process status event bus
-fed by the scheduler's lifecycle hooks), :mod:`~repro.service.net.server`
-(the asyncio runtime serving the framed protocol and a minimal
-HTTP/1.1 adapter on the same listeners, with auth, backpressure, and
-graceful drain), and :mod:`~repro.service.net.client` (the blocking
-client behind the CLI's ``--remote`` flag).
+errors), :mod:`~repro.service.net.server` (the asyncio runtime
+serving the framed protocol and a minimal HTTP/1.1 adapter on the
+same listeners, with auth, backpressure, graceful drain, and status
+streams that watch each job's
+:class:`~repro.service.scheduler.JobFuture`), and
+:mod:`~repro.service.net.client` (the blocking client behind the
+CLI's ``--remote`` flag).
 """
 
-from repro.service.net.bus import StatusBus, Subscription, \
-    is_terminal
 from repro.service.net.client import ServiceClient, job_document, \
     parse_address
 from repro.service.net.protocol import (
@@ -42,11 +41,8 @@ __all__ = [
     "ServerThread",
     "ServiceClient",
     "ServiceServer",
-    "StatusBus",
-    "Subscription",
     "UnknownKeyError",
     "encode_frame",
-    "is_terminal",
     "job_document",
     "parse_address",
     "run_server",

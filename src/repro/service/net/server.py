@@ -19,14 +19,17 @@ its ``as_json`` body, and ``_ERROR_STATUS`` gives its HTTP status; any
 other exception is answered as an ``internal`` error (HTTP 500) and
 counted in ``internal_errors``.
 
-The event loop never simulates.  Submissions run
+The event loop never simulates and never waits on the service lock,
+which a drain holds over journal fsyncs.  Submissions run
 ``SimulationService.submit`` on the default executor (journal fsyncs
-off the loop); the service's own background drainer executes the
-queue — the server wakes it after each submit that queued a job — and
-job status flows back through the
-:class:`~repro.service.net.bus.StatusBus` fed by the scheduler's
-lifecycle hooks; each streaming subscriber owns a bounded
-``asyncio.Queue`` bridged with ``call_soon_threadsafe``.
+off the loop), and so do ``stats`` and result-store reads; the
+service's own background drainer executes the queue — the server
+wakes it after each submit that queued a job.  A stream watches the
+one :class:`~repro.service.scheduler.JobFuture` behind its key
+(:meth:`~repro.service.scheduler.JobFuture.watch`): the future's
+events so far, then each new one, bridged into an ``asyncio.Queue``
+with ``call_soon_threadsafe``.  A future emits at most three events,
+so that queue needs no bound of its own.
 
 Backpressure and protection, outermost first: a connection beyond
 ``max_connections`` (or arriving during drain) is shed with a
@@ -37,11 +40,8 @@ through an optional token table into a
 *people*, not sockets; frames and HTTP bodies beyond
 ``max_frame_bytes`` are rejected before buffering
 (413 / ``oversize``); a connection idle past ``idle_timeout_s`` is
-dropped; a streaming subscriber whose write stalls while events for
-its key keep arriving (cached re-submissions) has its queue reset to
-a single overflow marker at :data:`STREAM_QUEUE` events and the stream
-is closed with a ``slow_consumer`` error instead of buffering without
-bound.
+dropped; a stream that waits past :data:`STREAM_TIMEOUT_S` for its
+job's next event ends with a ``timeout`` error.
 
 Graceful drain: ``SIGTERM``/``SIGINT`` (via :func:`run_server`) stops
 accepting, lets the service's drainer finish every queued job —
@@ -61,7 +61,6 @@ from collections import OrderedDict
 
 from repro.service.jobkey import JobSpec, canonical_json, \
     payload_digest
-from repro.service.net.bus import StatusBus, is_terminal
 from repro.service.net.protocol import (
     MAGIC,
     MAX_FRAME_BYTES,
@@ -75,7 +74,7 @@ from repro.service.net.protocol import (
     stream_event,
 )
 from repro.service.scheduler import (
-    EVENT_STATES,
+    TERMINAL_OPS,
     AdmissionError,
     JobError,
     JobTimeout,
@@ -94,16 +93,9 @@ _REASONS = {
 #: HTTP methods we recognise when sniffing a connection's dialect.
 _HTTP_HEADS = {b"GE", b"PO", b"PU", b"DE", b"HE", b"OP", b"PA"}
 
-#: Map a terminal future status back to the event op announcing it.
-_TERMINAL_OPS = {"done": "DONE", "cached": "CACHED",
-                 "failed": "FAIL", "cancelled": "CANCEL",
-                 "shed": "CANCEL", "rejected": "CANCEL"}
-
 #: Seconds a stream waits for its job's next status event before it
 #: ends with a ``timeout`` error.
 STREAM_TIMEOUT_S = 600.0
-#: Unsent events one stream may hold before it is shed.
-STREAM_QUEUE = 256
 #: Futures the server keeps addressable by key (least recent dropped
 #: first).
 MAX_FUTURES = 16384
@@ -134,7 +126,7 @@ class UnknownKeyError(KeyError):
 
 class WireError(Exception):
     """A rejection that carries its own HTTP status and structured
-    body (malformed HTTP, unknown route, a shed stream)."""
+    body (malformed HTTP, unknown route)."""
 
     def __init__(self, status, payload):
         super().__init__(f"HTTP {status}")
@@ -282,9 +274,6 @@ class ServiceServer:
         self.idle_timeout_s = float(idle_timeout_s)
         self.counters = NetCounters()
         service.net = self.counters
-        #: Attached before the listener sockets exist, so no event of
-        #: a served job can precede the bus's view of it.
-        self.bus = StatusBus().attach(service)
         self._futures = OrderedDict()   # key -> JobFuture (bounded)
         self._writers = set()
         self._servers = []
@@ -336,7 +325,6 @@ class ServiceServer:
                 writer.close()
             except Exception:
                 pass
-        self.service.remove_status_listener(self.bus.publish)
 
     def addresses(self) -> list:
         """Bound endpoints, e.g. ``["unix:/tmp/s.sock",
@@ -625,8 +613,10 @@ class ServiceServer:
                 "queue_depth": self.service.queue_depth()}
 
     async def _stats(self, params, reply):
+        # ``stats()`` takes the service lock: off the event loop.
         from repro.analysis.tracing import service_stats
-        return service_stats(self.service)
+        return await self._loop.run_in_executor(None, service_stats,
+                                                self.service)
 
     async def _submit_job(self, params, reply):
         tenant = self._resolve_tenant(params.get("auth"))
@@ -734,11 +724,13 @@ class ServiceServer:
             None, self._submit_sync, document, priority, tenant)
 
     def _known_future(self, key):
-        """The future the server or the scheduler holds for ``key``,
-        or ``None``; a malformed key is an :class:`UnknownKeyError`."""
+        """The future the scheduler or the server holds for ``key``,
+        or ``None``; a malformed key is an :class:`UnknownKeyError`.
+        The scheduler's live future comes first: a key re-opened
+        beside the server streams its newest lifecycle."""
         if not (isinstance(key, str) and key):
             raise UnknownKeyError(key)
-        return self._futures.get(key) or self.service._inflight.get(key)
+        return self.service._inflight.get(key) or self._futures.get(key)
 
     def _stored_record(self, key):
         """The wire record, with its result, of the result the store
@@ -788,51 +780,22 @@ class ServiceServer:
             return self._record(future, include_result=include_result)
         return await self._loop.run_in_executor(None, wait)
 
-    @staticmethod
-    def _terminal_event(future) -> dict:
-        """The terminal event of a finished future whose live events
-        the bus no longer holds."""
-        op = _TERMINAL_OPS.get(future.status, "CANCEL")
-        event = {"op": op, "state": EVENT_STATES[op],
-                 "key": future.key, "kind": future.job.kind,
-                 "priority": future.priority, "tenant": future.tenant}
-        digest = future.digest()
-        if digest is not None:
-            event["digest"] = digest
-        if future.error is not None:
-            event["error"] = str(future.error)
-        return event
-
     async def _stream(self, future, key, stored, reply):
-        """Send bus events for ``key`` until a terminal one, then
-        return the completion record.  A key with no bus history gets
-        one synthesized terminal event: from its finished future, or
-        from its ``stored`` record."""
-        queue = asyncio.Queue(maxsize=STREAM_QUEUE)
-        loop = self._loop
-
-        def offer(event):
-            try:
-                queue.put_nowait(event)
-            except asyncio.QueueFull:
-                # Reset to one overflow marker (None); the consumer
-                # sheds the stream when it reaches it.
-                while not queue.empty():
-                    queue.get_nowait()
-                queue.put_nowait(None)
-
+        """Send the events of ``future`` until its terminal one, then
+        return the completion record.  A key only the store knows
+        (``stored``) gets one synthesized ``CACHED`` event."""
+        queue = asyncio.Queue()
         await reply.open()
-        subscription = self.bus.subscribe(
-            lambda event: loop.call_soon_threadsafe(offer, event),
-            key=key)
+        if future is None:
+            queue.put_nowait({"op": "CACHED", "state": "DONE",
+                              "key": key, "digest": stored["digest"]})
+            stop = None
+        else:
+            loop = self._loop
+            stop = future.watch(lambda event: loop.call_soon_threadsafe(
+                queue.put_nowait, event))
         self.counters.streaming_subscribers += 1
         try:
-            if self.bus.last_event(key) is None:
-                if stored is not None:
-                    offer({"op": "CACHED", "state": "DONE", "key": key,
-                           "digest": stored["digest"]})
-                elif future.done():
-                    offer(self._terminal_event(future))
             while True:
                 try:
                     event = await asyncio.wait_for(queue.get(),
@@ -840,17 +803,13 @@ class ServiceServer:
                 except asyncio.TimeoutError:
                     raise JobTimeout(key, STREAM_TIMEOUT_S,
                                      "streaming") from None
-                if event is None:
-                    self.counters.shed += 1
-                    raise WireError(503, {
-                        "error": "slow_consumer", "key": key,
-                        "message": "subscriber queue overflowed"})
                 self.counters.stream_events += 1
                 await reply.event(event)
-                if is_terminal(event):
+                if event["op"] in TERMINAL_OPS:
                     return stored or self._record(future)
         finally:
-            subscription.close()
+            if stop is not None:
+                stop()
             self.counters.streaming_subscribers -= 1
 
 

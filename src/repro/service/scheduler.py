@@ -27,7 +27,9 @@ simulator backend.  The scheduler's contract —
   ``service.recovered``), completed jobs are served from the result
   cache, and a completed job whose cache entry was lost is re-enqueued
   so it is still delivered.  Drains are chunked when journaled so a
-  ``kill -9`` mid-drain loses at most the chunk in flight.
+  ``kill -9`` mid-drain loses at most the chunk in flight.  A result
+  shows (``done()``, ``result()``, its DONE event) only once its DONE
+  record is durable.
 * **Bounded retry.**  A pool worker that dies mid-job is retried up
   to :data:`MAX_RETRIES` times with exponential backoff (the ARQ
   discipline from ``repro.runtime.transport``); only then does the
@@ -90,6 +92,8 @@ EVENT_STATES = {
     "CANCEL": "CANCELLED",
     "CACHED": "DONE",
 }
+#: Ops that end a lifecycle; a future emits at most one of them.
+TERMINAL_OPS = ("DONE", "FAIL", "CANCEL", "CACHED")
 
 
 class AdmissionError(RuntimeError):
@@ -214,9 +218,35 @@ class JobFuture:
         self.run_s = 0.0
         self._submitted = time.perf_counter()
         self._seq_hint = 0   # submission sequence (shed tie-break)
+        #: Lifecycle events in emission order: SUBMIT, START and DONE
+        #: or FAIL; SUBMIT and CANCEL; or CACHED alone.  A recovered
+        #: future starts at START.
+        self.events = []
+        self._watchers = []
 
     def done(self) -> bool:
         return self.status in _DONE_STATES
+
+    def watch(self, callback):
+        """Call ``callback(event)`` with each of this future's events:
+        those already emitted, then each new one, exactly once and in
+        order.  Returns a function that stops delivery.  The callback
+        runs under the event lock, on the emitting thread (or, for the
+        replay, the calling one): it must enqueue and return, never
+        block or call back into the service.  One that raises is
+        counted in ``listener_errors``, never propagated.
+        """
+        service = self._service
+        with service._events_lock:
+            for event in self.events:
+                service._deliver(callback, event)
+            self._watchers.append(callback)
+
+        def stop():
+            with service._events_lock:
+                if callback in self._watchers:
+                    self._watchers.remove(callback)
+        return stop
 
     def cancel(self) -> bool:
         """Cancel if still queued.  Cancelling a coalesced future
@@ -322,10 +352,12 @@ class SimulationService:
         self.queue_depth_hwm = 0
         self.queue_latency = LatencyTally()  # submit → drain
         self.run_latency = LatencyTally()    # pool cell wall
-        # Lifecycle listeners (the net layer's event bus registers
-        # here); a listener that raises is counted, never fatal.
-        self._listeners = []
-        self.listener_errors = 0
+        #: Guards every future's ``events`` and watchers.  Not the
+        #: service lock: ``watch`` runs on the network event loop,
+        #: and a drain holds the service lock over journal fsyncs.
+        #: It is never held over disk I/O.
+        self._events_lock = threading.Lock()
+        self.listener_errors = 0  # watchers that raised
         #: Network front-end counters; a running
         #: :class:`repro.service.net.server.ServiceServer` attaches
         #: its counter block here so ``stats()`` (and the
@@ -342,8 +374,9 @@ class SimulationService:
 
     # -- lifecycle events ---------------------------------------------
 
-    def add_status_listener(self, fn):
-        """Register ``fn(event)`` for every job lifecycle transition.
+    def _emit(self, op, future, **fields):
+        """Append one lifecycle event to ``future.events`` and deliver
+        it to the future's watchers (see :meth:`JobFuture.watch`).
 
         Events are structured dicts — one per journal record type
         (``SUBMIT``/``START``/``DONE``/``FAIL``/``CANCEL``) plus
@@ -351,29 +384,13 @@ class SimulationService:
         carrying ``op``, the client-facing ``state``
         (QUEUED/RUNNING/DONE/FAILED/CANCELLED), ``key``, ``kind``,
         ``priority``, ``tenant``, and op-specific fields (``digest``,
-        ``error``, ``reason``).  Delivery is exactly-once per
-        transition: every emission sits on a status change that the
-        scheduler guards under its lock, so a coalesced duplicate
-        submit or a retried worker never re-fires an event.
-
-        Listeners run on the emitting thread (submitters, the drain
-        thread) and may hold the service lock — they must enqueue and
-        return, never block or call back into the service.  A raising
-        listener is counted in ``listener_errors`` and skipped, not
-        propagated.
+        ``error``, ``reason``).  Each sits on a status change that
+        the scheduler makes once, so a coalesced duplicate submit or
+        a retried worker never re-fires one.  SUBMIT is emitted under
+        the service lock before the future can be popped; START and
+        then DONE or FAIL follow on the draining thread, so one
+        future's events need no further ordering.
         """
-        self._listeners.append(fn)
-        return fn
-
-    def remove_status_listener(self, fn):
-        try:
-            self._listeners.remove(fn)
-        except ValueError:
-            pass
-
-    def _emit(self, op, future, **fields):
-        if not self._listeners:
-            return
         event = {
             "op": op,
             "state": EVENT_STATES[op],
@@ -383,11 +400,16 @@ class SimulationService:
             "tenant": future.tenant,
         }
         event.update(fields)
-        for fn in list(self._listeners):
-            try:
-                fn(event)
-            except Exception:
-                self.listener_errors += 1
+        with self._events_lock:
+            future.events.append(event)
+            for callback in future._watchers:
+                self._deliver(callback, event)
+
+    def _deliver(self, callback, event):
+        try:
+            callback(event)
+        except Exception:
+            self.listener_errors += 1
 
     # -- durability ---------------------------------------------------
 
@@ -482,8 +504,9 @@ class SimulationService:
     # -- submission ---------------------------------------------------
 
     def queue_depth(self) -> int:
-        with self._lock:
-            return len(self._inflight)
+        # One atomic ``len``, without the service lock: the network
+        # event loop asks, and a drain holds that lock over fsyncs.
+        return len(self._inflight)
 
     def _shed_victim(self, tenant):
         """The queued future graceful degradation would shed to admit
@@ -641,7 +664,8 @@ class SimulationService:
         immediately.  DONE/FAIL records are journaled with one fsync
         per chunk, *after* successful payloads enter the cache — so a
         journaled DONE always has a servable cache entry behind it
-        (modulo later eviction).
+        (modulo later eviction) — and *before* any future of the chunk
+        resolves or emits its event.
         """
         payloads = [future.job.payload() for future in chunk]
         if self.journal is not None:
@@ -680,40 +704,43 @@ class SimulationService:
                 )
         self.last_sweep = sweep
         with self._lock:
+            # Durable before visible: results enter the cache and the
+            # DONE/FAIL batch reaches the journal before any status
+            # flips, so no reader sees a result a crash would re-run.
             records = []
+            for future, cell in zip(chunk, sweep.results):
+                if cell.ok:
+                    # The envelope checksum is the payload digest.
+                    future._digest = (
+                        self.cache.put(future.key, cell.value,
+                                       job=future.job.payload())
+                        if self.cache is not None
+                        else payload_digest(cell.value))
+                    records.append({"op": "DONE", "key": future.key,
+                                    "digest": future._digest})
+                else:
+                    records.append({"op": "FAIL", "key": future.key,
+                                    "error": cell.error})
+            if self.journal is not None:
+                self.journal.append_many(records)
             for future, cell in zip(chunk, sweep.results):
                 future.run_s = cell.wall_s
                 self.queue_latency.add(future.queued_s)
                 self.run_latency.add(cell.wall_s)
                 if cell.ok:
-                    if self.cache is not None:
-                        # The envelope checksum is the payload digest.
-                        future._digest = self.cache.put(
-                            future.key, cell.value,
-                            job=future.job.payload())
                     future.value = cell.value
                     future.status = "done"
                     self.executed += 1
                     self.tenants.note(future.tenant, "executed")
-                    records.append({"op": "DONE", "key": future.key,
-                                    "digest": future.digest()})
+                    op, fields = "DONE", {"digest": future._digest}
                 else:
                     future.error = cell.error
                     future.status = "failed"
                     self.failed += 1
                     self.tenants.note(future.tenant, "failed")
-                    records.append({"op": "FAIL", "key": future.key,
-                                    "error": cell.error})
+                    op, fields = "FAIL", {"error": future.error}
                 self._inflight.pop(future.key, None)
-            if self.journal is not None:
-                self.journal.append_many(records)
-            # Events fire after the journal batch is durable (the
-            # same write-ahead discipline a subscriber observes).
-            for future in chunk:
-                if future.status == "done":
-                    self._emit("DONE", future, digest=future.digest())
-                else:
-                    self._emit("FAIL", future, error=future.error)
+                self._emit(op, future, **fields)
             self._resolved.notify_all()
 
     def drain(self, pool_jobs=None) -> list:

@@ -401,7 +401,7 @@ def _serve_restart(spec, root) -> dict:
     only (done-versus-cached depends on drain timing)."""
     from repro.service import ServerThread, ServiceClient, \
         payload_digest
-    from repro.service.net.bus import TERMINAL_OPS
+    from repro.service.scheduler import TERMINAL_OPS
     service = _open_service(root)
     sock = os.path.join(root, "serve.sock")
     attacks_out = []
@@ -433,18 +433,23 @@ def _serve_restart(spec, root) -> dict:
                         f"{job.spec['label']}: served digest does "
                         f"not match clean execution")
                 jobs_out.append({"label": job.spec["label"], "ok": ok})
-            # One full stream must replay the lifecycle and end
-            # terminal with the right payload.
+            # One full stream must replay the watched key's lifecycle,
+            # end at its one terminal event, and carry the right
+            # payload.
             first = pairs[0][0]
-            events, final = client.watch(client.submit(first)["key"])
+            key = client.submit(first)["key"]
+            events, final = client.watch(key)
+            terminal = [event["op"] in TERMINAL_OPS for event in events]
             stream_ok = bool(
-                events
-                and events[-1]["op"] in TERMINAL_OPS
+                terminal.count(True) == 1
+                and terminal[-1]
+                and all(event["key"] == key for event in events)
                 and final is not None
                 and final.get("digest") == _clean_digest(first))
             if not stream_ok:
                 violations.append(
-                    "stream: missing terminal event or digest mismatch")
+                    "stream: not one terminal event last, a foreign "
+                    "key, or a digest mismatch")
     if service.queue_depth() != 0:
         violations.append("graceful stop left queued jobs")
     return {"jobs": jobs_out, "attacks": attacks_out,

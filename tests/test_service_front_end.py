@@ -1,12 +1,14 @@
 """The serving front-end's request path on both wire dialects.
 
 Pins the paths the framed protocol and the HTTP adapter share: a stream
-that outlives its timeout or overflows its queue, a key only the result
-store knows (a job finished before a restart) and its store read, which
-runs off the event loop, the one payload digest an executed job or a
-memory hit computes, the table of structured errors and their HTTP
-statuses, a handler that fails outright, and the ``python -m
-repro.service serve`` entry point under SIGTERM.
+that outlives its timeout, a key only the result store knows (a job
+finished before a restart) and its store read, which runs off the event
+loop, as do ``ping`` and ``stats`` while a drain holds the service
+lock, a result that shows nowhere until its DONE record is on disk,
+the one payload digest an executed job or a memory hit computes,
+the table of structured errors and their HTTP statuses, a handler that
+fails outright, and the ``python -m repro.service serve`` entry point
+under SIGTERM.
 """
 
 import errno
@@ -23,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.service import (
+    JobError,
     JobSpec,
     ResultCache,
     ServerThread,
@@ -150,27 +153,6 @@ def test_stream_past_its_timeout_gets_a_timeout_error(tmp_path,
         assert all("event" in line for line in lines[:-1])
 
 
-def test_stream_that_overflows_its_queue_is_shed(tmp_path,
-                                                monkeypatch):
-    monkeypatch.setattr(server_module, "STREAM_QUEUE", 1)
-    service = cached_service(tmp_path)
-    sock = str(tmp_path / "s.sock")
-    with ServerThread(service, unix_path=sock) as thread:
-        with ServiceClient("unix:" + sock) as client:
-            key = client.submit(vec_doc(), wait=60)["key"]
-            # The finished job's history (SUBMIT, START, DONE) replays
-            # into a one-slot queue before the stream reads any of it.
-            with pytest.raises(RemoteJobError) as err:
-                client.watch(key)
-        shed = {"error": "slow_consumer", "key": key,
-                "message": "subscriber queue overflowed"}
-        assert err.value.error == shed
-        status, payload = http(sock, "GET", f"/jobs/{key}/stream")
-        assert status == 200
-        assert dechunk(payload) == [{"error": shed}]
-        assert thread.server.counters.shed == 2
-
-
 # -- a key only the result store knows -------------------------------------
 
 def test_key_known_only_from_the_store_after_a_restart(tmp_path):
@@ -253,6 +235,91 @@ def test_store_read_for_a_status_runs_off_the_event_loop(tmp_path,
     assert waited < 0.2
     assert reply["result"] == {"key": key, "status": "cached",
                                "digest": digest}
+
+
+def hold_done_batches(service):
+    """Make the service's journal block each DONE batch until the
+    returned ``release`` is set; ``entered`` is set once one blocks.
+    The drain holds the service lock all that time."""
+    entered, release = threading.Event(), threading.Event()
+    append_many = service.journal.append_many
+
+    def held(records, sync=True):
+        if any(record["op"] == "DONE" for record in records):
+            entered.set()
+            release.wait(5)
+        return append_many(records, sync=sync)
+
+    service.journal.append_many = held
+    return entered, release
+
+
+def test_a_result_is_visible_only_once_its_done_record_is_durable(
+        tmp_path):
+    service = SimulationService(
+        cache=ResultCache(root=str(tmp_path / "cache")),
+        journal_dir=str(tmp_path / "journal"))
+    entered, release = hold_done_batches(service)
+    sock = str(tmp_path / "s.sock")
+    with ServerThread(service, unix_path=sock):
+        future = service.submit(JobSpec(kind="vector", spec=VEC_SPEC,
+                                        tier="turbo"))
+        drainer = threading.Thread(target=service.drain)
+        drainer.start()
+        try:
+            assert entered.wait(5)
+            # The DONE batch is not on disk yet: nothing shows the
+            # result, in-process or on the wire.
+            assert not future.done()
+            with pytest.raises(JobError):
+                future.result(wait=False)
+            assert [e["op"] for e in future.events] == ["SUBMIT",
+                                                        "START"]
+            status = framed(sock, "status", key=future.key)["result"]
+            assert status["status"] == "running"
+            assert status["digest"] is None and "result" not in status
+        finally:
+            release.set()
+            drainer.join(30)
+        assert future.done() and future.status == "done"
+        assert [e["op"] for e in future.events] == ["SUBMIT", "START",
+                                                    "DONE"]
+        # The server keeps no future of an in-process job: once it has
+        # left the queue, the store answers.
+        status = framed(sock, "status", key=future.key)["result"]
+        assert status["status"] == "cached"
+        assert status["digest"] == future.digest() \
+            == payload_digest(status["result"])
+    assert JobJournal(str(tmp_path / "journal")).replay().done == {
+        future.key: future.digest()}
+
+
+@pytest.mark.parametrize("method", ["ping", "stats"])
+def test_ping_and_stats_never_stall_the_event_loop(tmp_path, method):
+    service = SimulationService(
+        cache=ResultCache(root=str(tmp_path / "cache")),
+        journal_dir=str(tmp_path / "journal"))
+    entered, release = hold_done_batches(service)
+    sock = str(tmp_path / "s.sock")
+    with ServerThread(service, unix_path=sock):
+        key = framed(sock, "submit", job=vec_doc(seed=43))["result"]["key"]
+        assert entered.wait(5)
+        with ThreadPoolExecutor(1) as pool:
+            pending = pool.submit(framed, sock, method)
+            time.sleep(0.05)  # the request reaches its handler
+            # A second connection is served while it waits.
+            start = time.monotonic()
+            status = framed(sock, "status", key=key, result=False)
+            waited = time.monotonic() - start
+            release.set()
+            reply = pending.result(timeout=30)
+    assert waited < 0.2
+    assert status["result"]["key"] == key
+    assert reply["ok"] is True
+    if method == "ping":
+        assert reply["result"]["queue_depth"] == 1
+    else:
+        assert reply["result"]["executed"] == 1
 
 
 def test_one_payload_digest_per_executed_job_and_per_memory_hit(

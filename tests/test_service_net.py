@@ -1,8 +1,11 @@
-"""Network front-end: framing, status bus, server + client."""
+"""Network front-end: framing, status events, server + client."""
 
 import os
 import socket
+import threading
+import time
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -16,6 +19,8 @@ from repro.service import (
     canonical_json,
     job_key,
     payload_digest,
+    register_workload,
+    unregister_workload,
 )
 from repro.service.net import (
     MAX_FRAME_BYTES,
@@ -23,7 +28,6 @@ from repro.service.net import (
     FrameDecoder,
     ProtocolError,
     RemoteJobError,
-    StatusBus,
     encode_frame,
     job_document,
     parse_address,
@@ -140,59 +144,100 @@ def test_job_document_elides_nones():
     assert "seed" not in doc and "config" not in doc
 
 
-# -- status bus -------------------------------------------------------
+# -- status events on the future --------------------------------------
 
-def test_bus_delivers_scheduler_lifecycle_in_order(service):
-    bus = StatusBus().attach(service)
-    events = []
-    bus.subscribe(events.append)
+def ops(events):
+    return [event["op"] for event in events]
+
+
+def test_watch_replays_past_events_then_delivers_new_ones(service):
     future = service.submit(vec_job())
-    service.drain()
-    ops = [e["op"] for e in events if e["key"] == future.key]
-    assert ops == ["SUBMIT", "START", "DONE"]
-    assert events[-1]["digest"] == future.digest()
-
-
-def test_bus_replays_history_to_late_subscribers(service):
-    bus = StatusBus().attach(service)
-    future = service.submit(vec_job())
+    early = []
+    future.watch(early.append)
+    assert ops(early) == ["SUBMIT"]
     service.drain()
     late = []
-    bus.subscribe(late.append, key=future.key)
-    assert [e["op"] for e in late] == ["SUBMIT", "START", "DONE"]
-    # Replay + live delivery share one dedup set: publishing the
-    # same lifecycle again must not re-deliver.
-    bus.publish(dict(late[0]))
-    assert [e["op"] for e in late] == ["SUBMIT", "START", "DONE",
-                                      "SUBMIT"]
-    # ...but that SUBMIT opened a *new* run (the prior one was
-    # terminal), which is exactly the re-submission story.
+    future.watch(late.append)
+    assert ops(early) == ops(late) == ["SUBMIT", "START", "DONE"]
+    assert early == late == future.events
+    assert late[-1]["digest"] == future.digest()
 
 
-def test_bus_exactly_once_within_a_run():
-    bus = StatusBus()
+def test_stopped_watch_receives_nothing_more(service):
+    future = service.submit(vec_job())
     seen = []
-    bus.subscribe(seen.append, key="k")
-    event = {"op": "SUBMIT", "state": "QUEUED", "key": "k"}
-    bus.publish(event)
-    # Defensive duplicate emission within the same run: deduped by
-    # (key, op, run) because the run has not ended.
-    sub2 = bus.subscribe(seen.append, key="k")
-    bus.publish({"op": "DONE", "state": "DONE", "key": "k"})
-    ops = [e["op"] for e in seen]
-    assert ops == ["SUBMIT", "SUBMIT", "DONE", "DONE"]
-    assert sub2.delivered == 2
+    stop = future.watch(seen.append)
+    stop()
+    stop()  # stopping twice is harmless
+    service.drain()
+    assert ops(seen) == ["SUBMIT"]
+    assert ops(future.events) == ["SUBMIT", "START", "DONE"]
 
 
-def test_bus_closed_subscription_stops_delivery():
-    bus = StatusBus()
-    seen = []
-    sub = bus.subscribe(seen.append)
-    bus.publish({"op": "SUBMIT", "state": "QUEUED", "key": "a"})
-    sub.close()
-    bus.publish({"op": "DONE", "state": "DONE", "key": "a"})
-    assert [e["op"] for e in seen] == ["SUBMIT"]
-    assert bus.subscriber_count() == 0
+def test_watchers_attached_queued_running_and_done_see_it_all_once(
+        service):
+    entered, release = threading.Event(), threading.Event()
+
+    def held(spec):
+        entered.set()
+        release.wait(10)
+        return {"held": spec["label"]}
+
+    register_workload("test.net.held", held, replace=True)
+    try:
+        future = service.submit(JobSpec(kind="test.net.held",
+                                        spec={"label": "h"},
+                                        tier="turbo"))
+        seen = {"queued": [], "running": [], "done": []}
+
+        def attach(point):
+            # From a thread that is neither this one nor the drainer.
+            thread = threading.Thread(target=future.watch,
+                                      args=(seen[point].append,))
+            thread.start()
+            thread.join(10)
+
+        attach("queued")
+        drainer = threading.Thread(target=service.drain)
+        drainer.start()
+        assert entered.wait(10)
+        assert future.status == "running"
+        attach("running")
+        release.set()
+        drainer.join(30)
+        assert future.status == "done"
+        attach("done")
+    finally:
+        release.set()
+        unregister_workload("test.net.held")
+    for point, events in seen.items():
+        assert ops(events) == ["SUBMIT", "START", "DONE"], point
+        assert events == future.events, point
+
+
+def test_a_key_reopened_beside_the_server_streams_its_newest_lifecycle(
+        tmp_path):
+    service = SimulationService(use_cache=False)
+    sock = str(tmp_path / "serve.sock")
+    with ServerThread(service, unix_path=sock) as thread:
+        with client_for(thread) as client:
+            first = client.submit(vec_job(seed=14), wait=60)
+            # The server still holds the finished future; the same job
+            # queued in-process opens a new lifecycle for the key.
+            again = service.submit(vec_job(seed=14))
+            assert again.status == "queued"
+            with ThreadPoolExecutor(1) as pool:
+                watched = pool.submit(client.watch, first["key"])
+                deadline = time.monotonic() + 10
+                while not thread.server.counters.streaming_subscribers:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                service.drain()
+                events, final = watched.result(timeout=30)
+    assert ops(events) == ["SUBMIT", "START", "DONE"]
+    assert events == again.events
+    assert events[0]["seq"] == 2
+    assert final["digest"] == first["digest"] == again.digest()
 
 
 # -- server + sync client --------------------------------------------

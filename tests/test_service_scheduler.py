@@ -275,16 +275,24 @@ def test_worker_crash_fails_single_job_not_service(service):
 
 
 def test_service_stats_rollup(service):
-    from repro.analysis import service_stats
+    from repro.analysis import service_stats, service_stats_table
+
+    def bad_watcher(event):
+        raise RuntimeError("watcher bug")
 
     job = JobSpec(kind="vector", spec=VEC_SPEC, tier="turbo")
     service.submit(job)
-    service.submit(job)
+    service.submit(job).watch(bad_watcher)
     service.drain()
     stats = service_stats(service)
     assert stats["submissions"] == 2
     assert stats["coalesced"] == 1
     assert stats["executed"] == 1
+    # A failed watcher reaches the rollup (and so the ``stats`` wire
+    # method) and the table.
+    assert stats["listener_errors"] == 3
+    assert dict(service_stats_table(stats).raw_rows)[
+        "listener_errors"] == 3
     assert stats["queue_depth_hwm"] == 1
     assert stats["run_latency"]["jobs"] == 1
     assert stats["run_latency"]["max_s"] >= 0.0
@@ -401,51 +409,47 @@ def test_result_timeout_raises_structured_job_timeout(service):
         unregister_workload("test.slow")
 
 
-# -- lifecycle status hooks (the net layer's event source) ------------
-
-def lifecycle_listener(service):
-    events = []
-    service.add_status_listener(events.append)
-    return events
-
+# -- lifecycle events: JobFuture.events and watch (status listeners) ---
 
 def test_status_listener_sees_ordered_lifecycle(service):
-    events = lifecycle_listener(service)
     future = service.submit(JobSpec(kind="vector", spec=VEC_SPEC,
                                     tier="turbo"))
     service.drain()
-    mine = [e for e in events if e["key"] == future.key]
-    assert [e["op"] for e in mine] == ["SUBMIT", "START", "DONE"]
-    assert [e["state"] for e in mine] == ["QUEUED", "RUNNING",
-                                         "DONE"]
-    assert mine[-1]["digest"] == future.digest()
-    assert all(e["kind"] == "vector" for e in mine)
+    assert [e["op"] for e in future.events] == ["SUBMIT", "START",
+                                                "DONE"]
+    assert [e["state"] for e in future.events] == ["QUEUED", "RUNNING",
+                                                   "DONE"]
+    assert future.events[-1]["digest"] == future.digest()
+    assert all(e["kind"] == "vector" and e["key"] == future.key
+               for e in future.events)
 
 
 def test_status_listener_exactly_once_per_transition(service):
-    events = lifecycle_listener(service)
     job = JobSpec(kind="vector", spec=VEC_SPEC, tier="turbo")
     # Coalesced duplicate submissions share one future — and one
-    # event stream: one SUBMIT, one START, one DONE.
+    # lifecycle: one SUBMIT, one START, one DONE.
     futures = [service.submit(job) for _ in range(4)]
+    seen = []
+    futures[-1].watch(seen.append)
     service.drain()
-    key = futures[0].key
-    marks = [(e["key"], e["op"]) for e in events]
-    assert len(marks) == len(set(marks))
-    assert marks.count((key, "SUBMIT")) == 1
-    assert marks.count((key, "DONE")) == 1
+    assert all(future is futures[0] for future in futures)
+    assert [e["op"] for e in futures[0].events] == ["SUBMIT", "START",
+                                                    "DONE"]
+    assert seen == futures[0].events
 
 
 def test_status_listener_cache_hit_emits_cached(service):
     future = service.submit(JobSpec(kind="vector", spec=VEC_SPEC,
                                     tier="turbo"))
     service.drain()
-    events = lifecycle_listener(service)
     again = service.submit(JobSpec(kind="vector", spec=VEC_SPEC,
                                    tier="turbo"))
     assert again.status == "cached"
-    assert [e["op"] for e in events] == ["CACHED"]
-    assert events[0]["digest"] == future.digest()
+    assert [e["op"] for e in again.events] == ["CACHED"]
+    assert again.events[0]["digest"] == future.digest()
+    # The finished future's own lifecycle is untouched by the hit.
+    assert [e["op"] for e in future.events] == ["SUBMIT", "START",
+                                                "DONE"]
 
 
 def test_status_listener_failure_and_cancel_paths(service,
@@ -455,7 +459,6 @@ def test_status_listener_failure_and_cancel_paths(service,
 
     register_workload("test.boom", boom, replace=True)
     try:
-        events = lifecycle_listener(service)
         failed = service.submit(JobSpec(kind="test.boom",
                                         spec={"label": "x"},
                                         tier="turbo"))
@@ -464,36 +467,29 @@ def test_status_listener_failure_and_cancel_paths(service,
                                         tier="turbo"))
         assert victim.cancel() is True
         service.drain()
-        by_key = {}
-        for event in events:
-            by_key.setdefault(event["key"], []).append(event["op"])
-        assert by_key[failed.key] == ["SUBMIT", "START", "FAIL"]
-        assert by_key[victim.key] == ["SUBMIT", "CANCEL"]
-        fail_event = [e for e in events
-                      if e["op"] == "FAIL"][0]
-        assert "synthetic" in fail_event["error"]
-        cancel_event = [e for e in events
-                        if e["op"] == "CANCEL"][0]
-        assert cancel_event["reason"] == "cancelled"
+        assert [e["op"] for e in failed.events] == ["SUBMIT", "START",
+                                                    "FAIL"]
+        assert [e["op"] for e in victim.events] == ["SUBMIT", "CANCEL"]
+        assert "synthetic" in failed.events[-1]["error"]
+        assert victim.events[-1]["reason"] == "cancelled"
     finally:
         unregister_workload("test.boom")
 
 
 def test_raising_listener_is_counted_never_fatal(service):
-    def bad_listener(event):
-        raise RuntimeError("listener bug")
+    def bad_watcher(event):
+        raise RuntimeError("watcher bug")
 
-    service.add_status_listener(bad_listener)
     future = service.submit(JobSpec(kind="vector", spec=VEC_SPEC,
                                     tier="turbo"))
+    future.watch(bad_watcher)
+    seen = []
+    future.watch(seen.append)
+    assert service.listener_errors == 1  # the replayed SUBMIT
     service.drain()
     assert future.status == "done"
-    assert service.listener_errors >= 3  # SUBMIT, START, DONE
-    service.remove_status_listener(bad_listener)
-    before = service.listener_errors
-    service.submit(JobSpec(kind="vector", spec=VEC_SPEC,
-                           tier="turbo"))
-    assert service.listener_errors == before
+    assert service.listener_errors == 3  # SUBMIT, START, DONE
+    assert [e["op"] for e in seen] == ["SUBMIT", "START", "DONE"]
 
 
 # -- condition-variable wait (no poll loop) ---------------------------
