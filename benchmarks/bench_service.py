@@ -19,7 +19,7 @@ property that makes it usable at all:
   every kernel tier (reference / turbo).
 
 * **Journal overhead** — the same cold pass with a write-ahead job
-  journal attached (every SUBMIT/START/DONE fsynced) must stay within
+  journal attached (every SUBMIT and DONE fsynced) must stay within
   10% of the no-journal cold wall: durability is priced per job, and
   the price must be negligible against real simulation work.
 

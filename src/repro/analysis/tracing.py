@@ -309,8 +309,7 @@ def service_stats_table(service, title="Service profile") -> Table:
             table.add(f"cache_{key}", cache[key])
     journal = stats.get("journal")
     if journal is not None:
-        for key in ("segments", "size_bytes", "appends", "fsyncs",
-                    "rotations", "compactions"):
+        for key in ("size_bytes", "appends", "fsyncs", "compactions"):
             table.add(f"journal_{key}", journal[key])
     net = stats.get("net")
     if net is not None:

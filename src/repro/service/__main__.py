@@ -42,13 +42,12 @@ import argparse
 import json
 import sys
 
-from repro.analysis.tracing import service_stats, service_stats_table
+from repro.analysis.tracing import service_stats_table
 from repro.events.engine import KERNEL_TIERS
 from repro.service.api import load_batch, run_batch
 from repro.service.cache import ResultCache
 from repro.service.jobkey import JobSpec, job_key
-from repro.service.scheduler import JobError, JobTimeout, \
-    SimulationService
+from repro.service.scheduler import SimulationService
 
 
 def _build_service(args) -> SimulationService:
@@ -133,25 +132,9 @@ def _remote_submit(args) -> int:
 def _cmd_submit(args) -> int:
     if args.remote:
         return _remote_submit(args)
-    service = _build_service(args)
-    job = _job_from_args(args)
-    future = service.submit(job, priority=args.priority)
-    if args.timeout is not None:
-        try:
-            future.result(timeout=args.timeout)
-        except JobTimeout:
-            pass  # non-terminal status reported below
-        except JobError:
-            pass  # terminal failure: status reported below
-    else:
-        service.drain()
-    record = future.as_json()
-    record["index"] = 0
-    summary = {
-        "jobs": [record],
-        "stats": service_stats(service),
-        "all_ok": future.status in ("done", "cached"),
-    }
+    summary = run_batch(_build_service(args),
+                        [(_job_from_args(args), args.priority)],
+                        timeout=args.timeout)
     _emit(summary, args)
     return 0 if summary["all_ok"] else 1
 
@@ -241,10 +224,11 @@ def _cmd_stats(args) -> int:
     usage["root"] = cache.root
     if args.journal_dir:
         from repro.service.journal import JobJournal
-        journal = JobJournal(args.journal_dir, fsync=False)
+        journal = JobJournal(args.journal_dir)
         replay = journal.replay()
+        # What the directory holds; this process has appended nothing.
         usage["journal"] = {
-            **journal.stats(),
+            "size_bytes": journal.size_bytes(),
             "pending": len(replay.pending()),
             "done": len(replay.done),
             "replay": replay.stats,

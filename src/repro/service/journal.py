@@ -12,9 +12,9 @@ and already-completed jobs are served from the result cache.
 
 Format
 ------
-The journal is a directory (default ``.repro-journal/``, or
-``REPRO_JOURNAL_DIR``) of numbered JSONL segments
-(``seg-00000001.jsonl``, …).  One record per line::
+The journal is one append-only file, ``journal.jsonl``, in a
+directory (default ``.repro-journal/``, or ``REPRO_JOURNAL_DIR``).
+One record per line::
 
     {"crc": <crc32 of the rest>, "key": ..., "op": "SUBMIT", ...}
 
@@ -22,33 +22,39 @@ Records are canonical JSON (sorted keys, compact separators) with an
 embedded CRC-32 over the record-without-crc, so any torn or corrupted
 line is detected on replay.  Appends are flushed and ``fsync``-ed
 (one fsync per batch via :meth:`JobJournal.append_many`) before the
-scheduler proceeds — the write-ahead property.
+scheduler proceeds — the write-ahead property.  Creating the file
+also fsyncs the directory, so the file's name is as durable as the
+first record in it.
 
-Ops: ``SUBMIT`` (carries the full job payload, priority, sequence
-number, and tenant), ``START``, ``DONE`` (carries the payload
-digest), ``FAIL``, ``CANCEL``, and ``COMPACT`` (a barrier record:
-replay state resets, making every earlier segment dead).
+The journal holds only what replay acts on.  Ops: ``SUBMIT``
+(carries the full job payload, priority, sequence number, and
+tenant), ``DONE`` (carries the payload digest), ``FAIL`` and
+``CANCEL``.  A job's start is not journaled: a job that was running
+when the process died is owed exactly like one that was only queued.
 
 Replay
 ------
-:meth:`JobJournal.replay` scans all segments in order and rebuilds
+:meth:`JobJournal.replay` scans the file in order and rebuilds
 per-key state.  Damage tolerance is per-line: a line that fails to
 parse or fails its CRC is dropped and counted (``torn_records`` when
-it is the final line of the final segment — the classic torn write —
+it is the final line of the file — the classic torn write —
 ``corrupt_records`` otherwise) and replay continues.  A ``DONE`` for
 an unknown key (its ``SUBMIT`` was corrupted away) is an orphan; a
 second ``DONE`` for the same key (a retried worker whose first
 completion raced a crash) is counted ``duplicate_done`` and ignored —
 first completion wins.
 
-Rotation and compaction
------------------------
-The active segment rotates at ``segment_bytes``.  Compaction writes a
-fresh segment — a ``COMPACT`` barrier followed by ``SUBMIT`` records
-for the still-live jobs — via temp-file + ``os.replace`` (atomic),
-then best-effort unlinks the older segments.  A crash between the
-replace and the unlinks is safe: replay resets at the barrier, so the
-stale segments are dead weight, not state.
+Compaction
+----------
+:meth:`JobJournal.compact` writes the ``SUBMIT`` records of the
+still-live jobs to a temp file, fsyncs it, publishes it over the
+journal with ``os.replace`` (atomic) and fsyncs the directory.  A
+crash at any point leaves either the old journal or the new one,
+whole.
+
+A directory that still holds numbered segments (``seg-*.jsonl``)
+from the older segmented layout is refused on open: they may owe
+jobs, and this journal would replay none of them.
 """
 
 import json
@@ -58,18 +64,12 @@ import zlib
 
 from repro.service.jobkey import canonical_json
 
-#: Journal line-format marker (folded into every record's CRC via the
-#: record body; bump when the record shape changes incompatibly).
-JOURNAL_FORMAT = 1
-
 DEFAULT_DIR = ".repro-journal"
-DEFAULT_SEGMENT_BYTES = 1 << 20
+#: The journal file inside the journal directory.
+FILENAME = "journal.jsonl"
 
 #: The record operations, in lifecycle order.
-OPS = ("SUBMIT", "START", "DONE", "FAIL", "CANCEL", "COMPACT")
-
-#: Replay states that still need execution.
-_LIVE = ("submitted", "started")
+OPS = ("SUBMIT", "DONE", "FAIL", "CANCEL")
 
 
 def default_journal_dir() -> str:
@@ -115,21 +115,15 @@ class JournalReplay:
         self.max_seq = 0
         self.stats = {
             "records": 0,
-            "segments": 0,
             "torn_records": 0,
             "corrupt_records": 0,
             "orphan_records": 0,
             "duplicate_done": 0,
-            "compact_barriers": 0,
         }
 
     def _apply(self, record: dict):
         op = record["op"]
         self.stats["records"] += 1
-        if op == "COMPACT":
-            self.stats["compact_barriers"] += 1
-            self.entries = {}
-            return
         key = record.get("key")
         entry = self.entries.get(key)
         if op == "SUBMIT":
@@ -151,21 +145,18 @@ class JournalReplay:
         if entry is None:
             self.stats["orphan_records"] += 1
             return
-        if op == "START":
-            if entry["status"] in _LIVE:
-                entry["status"] = "started"
-        elif op == "DONE":
+        if op == "DONE":
             if entry["status"] == "done":
                 self.stats["duplicate_done"] += 1
                 return  # first completion wins
             entry["status"] = "done"
             entry["digest"] = record.get("digest")
         elif op == "FAIL":
-            if entry["status"] in _LIVE:
+            if entry["status"] == "submitted":
                 entry["status"] = "failed"
                 entry["error"] = record.get("error")
         elif op == "CANCEL":
-            if entry["status"] in _LIVE:
+            if entry["status"] == "submitted":
                 entry["status"] = "cancelled"
                 entry["error"] = record.get("reason", "cancelled")
 
@@ -174,7 +165,7 @@ class JournalReplay:
         (lowest priority value) first, FIFO (submission seq) within
         a priority, matching the scheduler's heap."""
         live = [e for e in self.entries.values()
-                if e["status"] in _LIVE and e["job"] is not None]
+                if e["status"] == "submitted" and e["job"] is not None]
         return sorted(live, key=lambda e: (e["priority"], e["seq"]))
 
     @property
@@ -186,39 +177,26 @@ class JournalReplay:
 class JobJournal:
     """Append-only, fsynced, checksummed job-transition log."""
 
-    def __init__(self, root=None, fsync=True,
-                 segment_bytes=DEFAULT_SEGMENT_BYTES):
+    def __init__(self, root=None):
         self.root = os.path.abspath(root or default_journal_dir())
-        self.fsync = bool(fsync)
-        self.segment_bytes = max(1, int(segment_bytes))
         os.makedirs(self.root, exist_ok=True)
+        segments = sorted(name for name in os.listdir(self.root)
+                          if name.startswith("seg-")
+                          and name.endswith(".jsonl"))
+        if segments:
+            raise RuntimeError(
+                f"journal directory {self.root} holds segments of the "
+                f"older segmented layout ({', '.join(segments)}); "
+                f"this journal replays only {FILENAME}, so the jobs "
+                f"they owe would be lost — finish them with the "
+                f"version that wrote them, or move the files away"
+            )
+        self.path = os.path.join(self.root, FILENAME)
         self._handle = None
-        numbers = self._segment_numbers()
-        self._active = numbers[-1] if numbers else 1
         # Counters (surfaced through service_stats).
         self.appends = 0
         self.fsyncs = 0
-        self.rotations = 0
         self.compactions = 0
-
-    # -- segments -----------------------------------------------------
-
-    def _segment_path(self, number: int) -> str:
-        return os.path.join(self.root, f"seg-{number:08d}.jsonl")
-
-    def _segment_numbers(self) -> list:
-        numbers = []
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return numbers
-        for name in names:
-            if name.startswith("seg-") and name.endswith(".jsonl"):
-                try:
-                    numbers.append(int(name[4:-6]))
-                except ValueError:
-                    continue
-        return sorted(numbers)
 
     def _sync_dir(self):
         """fsync the journal directory (rename/create durability)."""
@@ -233,23 +211,16 @@ class JobJournal:
         finally:
             os.close(fd)
 
-    def _open_active(self):
+    def _open(self):
+        """The append handle, opened on first use.  Creating the file
+        fsyncs the directory too: fsync of the file alone does not
+        make its new directory entry durable."""
         if self._handle is None:
-            self._handle = open(self._segment_path(self._active), "a")
+            created = not os.path.exists(self.path)
+            self._handle = open(self.path, "a")
+            if created:
+                self._sync_dir()
         return self._handle
-
-    def rotate(self):
-        """Close the active segment and start the next one."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        self._active += 1
-        self.rotations += 1
-        # Touch the new segment so replay sees it even before the
-        # first append lands.
-        with open(self._segment_path(self._active), "a"):
-            pass
-        self._sync_dir()
 
     # -- appends ------------------------------------------------------
 
@@ -261,53 +232,38 @@ class JobJournal:
         record.update(fields)
         self.append_many([record])
 
-    def append_many(self, records, sync=True):
+    def append_many(self, records):
         """Append a batch of records with a single flush + fsync.
 
         The write-ahead contract: when this returns, every record is
-        durable (to the extent ``fsync=True`` and the filesystem
-        honour it) — the caller may then act on the transitions.
-
-        ``sync=False`` flushes but skips the fsync — for advisory
-        records (START) whose loss does not change recovery: a torn
-        START replays as "submitted", which re-enqueues identically.
-        The next synced append makes them durable anyway.
+        durable (to the extent the filesystem honours fsync) — the
+        caller may then act on the transitions.
         """
-        records = list(records)
         if not records:
             return
-        handle = self._open_active()
+        handle = self._open()
         for record in records:
             handle.write(_frame(record))
             self.appends += 1
         handle.flush()
-        if self.fsync and sync:
-            os.fsync(handle.fileno())
-            self.fsyncs += 1
-        if handle.tell() >= self.segment_bytes:
-            self.rotate()
+        os.fsync(handle.fileno())
+        self.fsyncs += 1
 
     # -- replay -------------------------------------------------------
 
     def replay(self) -> JournalReplay:
-        """Rebuild state from every segment on disk.
+        """Rebuild state from the journal file.
 
         Damage-tolerant per line: unparseable or CRC-failing lines are
         dropped and counted (torn when final, corrupt otherwise) and
         replay continues with the next line.
         """
         replay = JournalReplay()
-        numbers = self._segment_numbers()
-        replay.stats["segments"] = len(numbers)
-        lines = []  # (segment_number, line)
-        for number in numbers:
-            try:
-                with open(self._segment_path(number), "r") as handle:
-                    for line in handle:
-                        if line.strip():
-                            lines.append(line)
-            except OSError:
-                continue
+        try:
+            with open(self.path, "r") as handle:
+                lines = [line for line in handle if line.strip()]
+        except FileNotFoundError:
+            lines = []
         for position, line in enumerate(lines):
             record = _parse(line)
             if record is None:
@@ -322,41 +278,28 @@ class JobJournal:
     # -- compaction ---------------------------------------------------
 
     def size_bytes(self) -> int:
-        total = 0
-        for number in self._segment_numbers():
-            try:
-                total += os.path.getsize(self._segment_path(number))
-            except OSError:
-                continue
-        return total
+        try:
+            return os.path.getsize(self.path)
+        except FileNotFoundError:
+            return 0
 
     def compact(self, submit_records):
-        """Rewrite the journal to a barrier plus the live jobs.
+        """Rewrite the journal down to the live jobs.
 
         ``submit_records`` are the SUBMIT-shaped dicts for every job
-        still owed execution (the scheduler knows).  The new segment
-        is written whole and published atomically; older segments are
-        then unlinked best-effort (replay resets at the barrier, so a
-        crash mid-unlink leaves garbage, not state).
+        still owed execution (the scheduler knows).  They are written
+        whole to a temp file and published over the journal
+        atomically, so a crash leaves the old journal or the new one.
         """
-        submit_records = list(submit_records)
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        old_numbers = self._segment_numbers()
-        number = (old_numbers[-1] + 1) if old_numbers else 1
-        path = self._segment_path(number)
+        self.close()
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.write(_frame({"op": "COMPACT",
-                                     "live": len(submit_records)}))
                 for record in submit_records:
                     handle.write(_frame({"op": "SUBMIT", **record}))
                 handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
-            os.replace(tmp, path)
+                os.fsync(handle.fileno())
+            os.replace(tmp, self.path)
         except BaseException:
             try:
                 os.unlink(tmp)
@@ -364,16 +307,8 @@ class JobJournal:
                 pass
             raise
         self._sync_dir()
-        for old in old_numbers:
-            if old == number:
-                continue
-            try:
-                os.unlink(self._segment_path(old))
-            except OSError:
-                pass
-        self._active = number
         self.compactions += 1
-        self.appends += 1 + len(submit_records)
+        self.appends += len(submit_records)
 
     # -- lifecycle ----------------------------------------------------
 
@@ -385,10 +320,8 @@ class JobJournal:
     def stats(self) -> dict:
         return {
             "root": self.root,
-            "segments": len(self._segment_numbers()),
             "size_bytes": self.size_bytes(),
             "appends": self.appends,
             "fsyncs": self.fsyncs,
-            "rotations": self.rotations,
             "compactions": self.compactions,
         }

@@ -20,8 +20,10 @@ simulator backend.  The scheduler's contract —
   fail with a structured :class:`QuotaError`.  The tenant id never
   joins the job key, so identical work from different tenants still
   coalesces.
-* **Durability.**  With ``journal_dir=`` set, every transition is
-  written ahead to a :class:`~repro.service.journal.JobJournal`.  A
+* **Durability.**  With ``journal_dir=`` set, every transition
+  replay acts on (SUBMIT, DONE, FAIL, CANCEL) is written ahead to a
+  :class:`~repro.service.journal.JobJournal`; a job's start is not,
+  since a running job is owed exactly like a queued one.  A
   restarted service replays the log: unfinished jobs re-enter the
   queue in original (priority, seq) order (exposed as
   ``service.recovered``), completed jobs are served from the result
@@ -73,17 +75,17 @@ from repro.service.workloads import UnknownTierError, execute_job
 #: the first (doubling per attempt).
 MAX_RETRIES = 2
 RETRY_BACKOFF_S = 0.05
-#: A drain compacts the journal once it exceeds this many segments'
-#: worth of bytes.
-COMPACT_SEGMENTS = 4
+#: A drain compacts the journal once its file exceeds this many
+#: bytes.
+COMPACT_BYTES = 4 << 20
 
 #: Terminal future states.
 _DONE_STATES = ("done", "cached", "failed", "cancelled", "rejected",
                 "shed")
 
-#: Lifecycle-event ops (one per journal record type, plus CACHED for
-#: cache-hit answers, which are terminal but never journaled) and the
-#: client-facing state each one announces.
+#: Lifecycle-event ops (one per journal record type, plus START when
+#: a drain picks a job up and CACHED for cache-hit answers, neither
+#: journaled) and the client-facing state each one announces.
 EVENT_STATES = {
     "SUBMIT": "QUEUED",
     "START": "RUNNING",
@@ -316,8 +318,8 @@ class SimulationService:
     """Simulation-as-a-service over the simulator's kernel tiers."""
 
     def __init__(self, cache=None, use_cache=True, max_pending=1024,
-                 pool_jobs=None, journal_dir=None, journal=None,
-                 tenants=None, shed_on_full=False):
+                 pool_jobs=None, journal_dir=None, tenants=None,
+                 shed_on_full=False):
         #: ``cache=None`` with ``use_cache=True`` builds the default
         #: store; pass ``use_cache=False`` for a pure scheduler.
         self.cache = (cache or ResultCache()) if use_cache else None
@@ -368,8 +370,8 @@ class SimulationService:
         self.journal_replay = None
         #: Futures re-enqueued from the journal on construction.
         self.recovered = []
-        if journal is not None or journal_dir is not None:
-            self.journal = journal or JobJournal(journal_dir)
+        if journal_dir is not None:
+            self.journal = JobJournal(journal_dir)
             self._replay_journal()
 
     # -- lifecycle events ---------------------------------------------
@@ -379,8 +381,9 @@ class SimulationService:
         it to the future's watchers (see :meth:`JobFuture.watch`).
 
         Events are structured dicts — one per journal record type
-        (``SUBMIT``/``START``/``DONE``/``FAIL``/``CANCEL``) plus
-        ``CACHED`` for submissions answered from the result cache —
+        (``SUBMIT``/``DONE``/``FAIL``/``CANCEL``) plus ``START`` when
+        a drain picks the job up and ``CACHED`` for submissions
+        answered from the result cache, neither of them journaled —
         carrying ``op``, the client-facing ``state``
         (QUEUED/RUNNING/DONE/FAILED/CANCELLED), ``key``, ``kind``,
         ``priority``, ``tenant``, and op-specific fields (``digest``,
@@ -497,8 +500,7 @@ class SimulationService:
 
     def _maybe_compact(self):
         if (self.journal is not None
-                and self.journal.size_bytes()
-                > COMPACT_SEGMENTS * self.journal.segment_bytes):
+                and self.journal.size_bytes() > COMPACT_BYTES):
             self.compact_journal()
 
     # -- submission ---------------------------------------------------
@@ -668,14 +670,6 @@ class SimulationService:
         resolves or emits its event.
         """
         payloads = [future.job.payload() for future in chunk]
-        if self.journal is not None:
-            # Advisory, flush-only: a lost START replays as
-            # "submitted" — same re-enqueue — so it is not worth an
-            # fsync of its own; the chunk's DONE/FAIL batch is synced.
-            self.journal.append_many(
-                [{"op": "START", "key": f.key} for f in chunk],
-                sync=False,
-            )
         for future in chunk:
             self._emit("START", future)
         # Pool mode (>1 worker) always forks, even for a single-cell

@@ -85,7 +85,7 @@ def fuzz(seed: int, cases: int, budget_s: float, names, repro_dir,
             stats[name]["divergences"] += 1
             print(f"[{name} #{index}] DIVERGENCE: {summary}")
             # Shrinking re-executes candidate specs, so it runs in
-            # the parent on both the serial and the parallel path.
+            # the parent, never in a worker.
             report = differential(generator.execute, spec,
                                   invariant=getattr(generator,
                                                     "invariant", None))
@@ -104,6 +104,8 @@ def fuzz(seed: int, cases: int, budget_s: float, names, repro_dir,
         """One fuzz case, self-contained for a worker process."""
         name, index = cell
         generator = GENERATORS[name]
+        # Independent stream per case: reordering generators or
+        # resuming mid-campaign reproduces the same specs.
         rng = random.Random(f"{seed}:{name}:{index}")
         spec, report, error = run_case(generator, rng)
         return {
@@ -113,47 +115,33 @@ def fuzz(seed: int, cases: int, budget_s: float, names, repro_dir,
             "error": None if error is None else repr(error),
         }
 
-    if jobs == 1:
-        for index in range(cases):
-            if deadline is not None and time.monotonic() > deadline:
-                print(f"budget exhausted after {executed} cases")
-                break
-            name, generator = generators[index % len(generators)]
-            # Independent stream per case: reordering generators or
-            # resuming mid-campaign reproduces the same specs.
-            rng = random.Random(f"{seed}:{name}:{index}")
-            spec, report, error = run_case(generator, rng)
-            handle_case(name, index, spec,
-                        report.diverged if report else False,
-                        report.summary() if report else None,
-                        repr(error) if error else None)
-    else:
-        cells = [(generators[index % len(generators)][0], index)
-                 for index in range(cases)]
-        # Batches keep the wall-clock budget meaningful: the deadline
-        # is checked between batches, and the cases inside a batch are
-        # still index-seeded, so a budget-truncated campaign runs a
-        # prefix of the same case sequence.
-        batch = max(4 * jobs, 8)
-        for start in range(0, len(cells), batch):
-            if deadline is not None and time.monotonic() > deadline:
-                print(f"budget exhausted after {executed} cases")
-                break
-            # Non-daemonic workers: service chaos cases open their
-            # own fork pools, which daemonic processes may not.
-            sweep = run_cells(case_cell, cells[start:start + batch],
-                              jobs=jobs, daemon=False)
-            for cell, result in zip(cells[start:start + batch],
-                                    sweep.results):
-                name, index = cell
-                if not result.ok:
-                    handle_case(name, index, None, False, None,
-                                result.error)
-                    continue
-                outcome = result.value
-                handle_case(name, index, outcome["spec"],
-                            outcome["diverged"], outcome["summary"],
-                            outcome["error"])
+    cells = [(generators[index % len(generators)][0], index)
+             for index in range(cases)]
+    # Batches keep the wall-clock budget meaningful: the deadline is
+    # checked between batches (before every case when serial), and
+    # the cases inside a batch are still index-seeded, so a
+    # budget-truncated campaign runs a prefix of the same case
+    # sequence.
+    batch = 1 if jobs == 1 else max(4 * jobs, 8)
+    for start in range(0, len(cells), batch):
+        if deadline is not None and time.monotonic() > deadline:
+            print(f"budget exhausted after {executed} cases")
+            break
+        # Non-daemonic workers: service chaos cases open their own
+        # fork pools, which daemonic processes may not.
+        sweep = run_cells(case_cell, cells[start:start + batch],
+                          jobs=jobs, daemon=False)
+        for cell, result in zip(cells[start:start + batch],
+                                sweep.results):
+            name, index = cell
+            if not result.ok:
+                handle_case(name, index, None, False, None,
+                            result.error)
+                continue
+            outcome = result.value
+            handle_case(name, index, outcome["spec"],
+                        outcome["diverged"], outcome["summary"],
+                        outcome["error"])
     return {
         "executed": executed,
         "stats": stats,

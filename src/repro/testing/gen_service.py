@@ -298,29 +298,23 @@ def _apply_damage(spec, root):
     applied = {"journal": None, "cache": None}
     plan = spec["damage"]
     if plan["journal"] is not None:
-        segments = sorted(
-            os.path.join(journal_dir, name)
-            for name in (os.listdir(journal_dir)
-                         if os.path.isdir(journal_dir) else [])
-            if name.endswith(".jsonl")
-        )
-        if segments:
-            target = segments[-1]
-            size = os.path.getsize(target)
-            mode, arg = plan["journal"]
-            if size > 0 and mode == "truncate":
-                cut = min(size, arg)
-                with open(target, "r+b") as handle:
-                    handle.truncate(size - cut)
-                applied["journal"] = ["truncate", cut]
-            elif size > 0 and mode == "flip":
-                position = arg % size
-                with open(target, "r+b") as handle:
-                    handle.seek(position)
-                    byte = handle.read(1)
-                    handle.seek(position)
-                    handle.write(bytes([byte[0] ^ 0x01]))
-                applied["journal"] = ["flip", position]
+        from repro.service.journal import FILENAME
+        target = os.path.join(journal_dir, FILENAME)
+        size = os.path.getsize(target) if os.path.exists(target) else 0
+        mode, arg = plan["journal"]
+        if size > 0 and mode == "truncate":
+            cut = min(size, arg)
+            with open(target, "r+b") as handle:
+                handle.truncate(size - cut)
+            applied["journal"] = ["truncate", cut]
+        elif size > 0 and mode == "flip":
+            position = arg % size
+            with open(target, "r+b") as handle:
+                handle.seek(position)
+                byte = handle.read(1)
+                handle.seek(position)
+                handle.write(bytes([byte[0] ^ 0x01]))
+            applied["journal"] = ["flip", position]
     if plan["cache"] is not None:
         entries = []
         for shard in sorted(os.listdir(cache_dir)

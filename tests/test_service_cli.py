@@ -143,3 +143,52 @@ def test_malformed_batch_file_rejected(tmp_path):
     with pytest.raises(ValueError):
         main(["batch", str(path),
               "--cache-dir", str(tmp_path / "cache")])
+
+
+def test_in_process_submit_is_a_batch_of_one(tmp_path, capsys,
+                                             monkeypatch):
+    import repro.service.__main__ as cli
+    calls = []
+    run_batch = cli.run_batch
+
+    def spy(service, jobs, timeout=None):
+        calls.append((jobs, timeout))
+        return run_batch(service, jobs, timeout=timeout)
+
+    monkeypatch.setattr(cli, "run_batch", spy)
+    code = main(["submit", "--kind", "vector",
+                 "--spec", json.dumps(BATCH["jobs"][0]["spec"]),
+                 "--tier", "turbo", "--priority", "3",
+                 "--timeout", "30",
+                 "--cache-dir", str(tmp_path / "cache"), "--json"])
+    assert code == 0
+    [(jobs, timeout)] = calls
+    assert [(job.kind, priority) for job, priority in jobs] \
+        == [("vector", 3)]
+    assert timeout == 30.0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["all_ok"]
+    assert summary["jobs"][0]["status"] == "done"
+    assert summary["stats"]["executed"] == 1
+
+
+def test_stats_reports_only_what_the_journal_directory_holds(
+        batch_file, tmp_path, capsys):
+    journal = tmp_path / "journal"
+    code, _summary = _run_batch(batch_file, tmp_path, "cold.json",
+                                "--journal-dir", str(journal))
+    assert code == 0
+    capsys.readouterr()
+    code = main(["stats", "--cache-dir", str(tmp_path / "cache"),
+                 "--journal-dir", str(journal)])
+    assert code == 0
+    usage = json.loads(capsys.readouterr().out)["journal"]
+    # The third job coalesced onto the first: two SUBMITs, two DONEs.
+    assert usage == {
+        "size_bytes": (journal / "journal.jsonl").stat().st_size,
+        "pending": 0,
+        "done": 2,
+        "replay": {"records": 4, "torn_records": 0,
+                   "corrupt_records": 0, "orphan_records": 0,
+                   "duplicate_done": 0},
+    }

@@ -13,9 +13,9 @@ from repro.service import (
     register_workload,
     unregister_workload,
 )
-from repro.service.journal import JobJournal
+from repro.service import scheduler
 
-SEGMENT_BYTES = 256
+COMPACT_BYTES = 1024
 
 
 @pytest.fixture
@@ -36,12 +36,11 @@ def job(label):
                    tier="turbo")
 
 
-def test_a_drain_past_four_segments_compacts_the_journal(tmp_path,
-                                                         recorder):
+def test_a_drain_past_the_size_bound_compacts_the_journal(
+        tmp_path, recorder, monkeypatch):
+    monkeypatch.setattr(scheduler, "COMPACT_BYTES", COMPACT_BYTES)
     root = str(tmp_path / "journal")
-    service = SimulationService(
-        use_cache=False,
-        journal=JobJournal(root, segment_bytes=SEGMENT_BYTES))
+    service = SimulationService(use_cache=False, journal_dir=root)
     for index in range(8):
         service.submit(job(f"done-{index}"))
     late = []
@@ -52,21 +51,19 @@ def test_a_drain_past_four_segments_compacts_the_journal(tmp_path,
         # the trigger compacts, so the compacted journal must keep them.
         late.extend(service.submit(job(f"late-{index}"))
                     for index in range(3))
-        assert service.journal.size_bytes() > 4 * SEGMENT_BYTES
+        assert service.journal.size_bytes() > COMPACT_BYTES
         compact()
 
     service._maybe_compact = submit_late_then_compact
     service.drain()
     assert service.journal.stats()["compactions"] == 1
-    assert service.journal.size_bytes() <= 4 * SEGMENT_BYTES
+    assert service.journal.size_bytes() <= COMPACT_BYTES
     assert [future.status for future in late] == ["queued"] * 3
     service.journal.close()
 
     # No result store: a DONE record that survived compaction would be
     # replayed as a job whose result is missing.
-    revived = SimulationService(
-        use_cache=False,
-        journal=JobJournal(root, segment_bytes=SEGMENT_BYTES))
+    revived = SimulationService(use_cache=False, journal_dir=root)
     assert [f.key for f in revived.recovered] == [f.key for f in late]
     assert revived.journal_replay["recovered_pending"] == 3
     assert revived.journal_replay["done_cache_missing"] == 0

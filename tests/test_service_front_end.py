@@ -244,11 +244,11 @@ def hold_done_batches(service):
     entered, release = threading.Event(), threading.Event()
     append_many = service.journal.append_many
 
-    def held(records, sync=True):
+    def held(records):
         if any(record["op"] == "DONE" for record in records):
             entered.set()
             release.wait(5)
-        return append_many(records, sync=sync)
+        return append_many(records)
 
     service.journal.append_many = held
     return entered, release

@@ -10,6 +10,7 @@ and the metering counters prove no job executed twice.
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -26,12 +27,10 @@ from repro.testing.gen_service import KILL_EXIT, _pure_payload, \
     launch_killed
 
 
-def _only_segment(root):
-    """Path of the single journal segment under ``root``."""
-    names = sorted(n for n in os.listdir(str(root))
-                   if n.endswith(".jsonl"))
-    assert len(names) == 1
-    return os.path.join(str(root), names[0])
+def _journal_file(root):
+    """Path of the journal file, the only file under ``root``."""
+    assert os.listdir(str(root)) == ["journal.jsonl"]
+    return os.path.join(str(root), "journal.jsonl")
 
 
 def _chaos_job(label, x, rounds=3, **extra):
@@ -53,13 +52,48 @@ def test_append_replay_round_trip(tmp_path):
     journal = JobJournal(str(tmp_path / "j"))
     journal.append("SUBMIT", "k1", seq=1, priority=0,
                    job={"kind": "x"})
-    journal.append("START", "k1")
     journal.append("DONE", "k1", digest="d1")
     replay = journal.replay()
     assert replay.entries["k1"]["status"] == "done"
     assert replay.entries["k1"]["digest"] == "d1"
     assert replay.pending() == []
-    assert replay.stats["records"] == 3
+    assert replay.stats["records"] == 2
+
+
+def test_creating_the_journal_file_fsyncs_its_directory(tmp_path,
+                                                        monkeypatch):
+    synced = []
+    fsync = os.fsync
+
+    def spy(fd):
+        mode = os.fstat(fd).st_mode
+        synced.append("dir" if stat.S_ISDIR(mode) else "file")
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    journal = JobJournal(str(tmp_path / "j"))
+    journal.append("SUBMIT", "k1", seq=1, priority=0, job={})
+    # fsync(2) of the new file alone leaves its name undurable.
+    assert synced == ["dir", "file"]
+    journal.append("SUBMIT", "k2", seq=2, priority=0, job={})
+    journal.close()
+    reopened = JobJournal(str(tmp_path / "j"))
+    reopened.append("DONE", "k1", digest="d")
+    reopened.close()
+    assert synced == ["dir", "file", "file", "file"]
+
+
+def test_a_directory_of_old_segments_is_refused(tmp_path):
+    root = tmp_path / "j"
+    root.mkdir()
+    (root / "seg-00000001.jsonl").write_text(_frame(
+        {"op": "SUBMIT", "key": "k", "seq": 1, "priority": 0,
+         "job": {}}))
+    with pytest.raises(RuntimeError, match="seg-00000001.jsonl"):
+        JobJournal(str(root))
+    with pytest.raises(RuntimeError, match="seg-00000001.jsonl"):
+        _service(tmp_path, journal_dir=str(root))
+    assert os.listdir(str(root)) == ["seg-00000001.jsonl"]
 
 
 def test_crc_framing_rejects_tampered_records():
@@ -74,7 +108,7 @@ def test_torn_final_record_is_tolerated(tmp_path):
     journal = JobJournal(str(tmp_path / "j"))
     journal.append("SUBMIT", "k1", seq=1, priority=0, job={})
     journal.append("SUBMIT", "k2", seq=2, priority=0, job={})
-    path = _only_segment(tmp_path / "j")
+    path = _journal_file(tmp_path / "j")
     with open(path, "r+b") as handle:
         size = os.path.getsize(path)
         handle.truncate(size - 7)  # tear the last record mid-line
@@ -88,7 +122,7 @@ def test_mid_file_corruption_skips_only_that_record(tmp_path):
     journal = JobJournal(str(tmp_path / "j"))
     for seq, key in enumerate(["a", "b", "c"], start=1):
         journal.append("SUBMIT", key, seq=seq, priority=0, job={})
-    path = _only_segment(tmp_path / "j")
+    path = _journal_file(tmp_path / "j")
     lines = open(path).read().splitlines(keepends=True)
     lines[1] = lines[1][:5] + "X" + lines[1][6:]  # corrupt record 2
     with open(path, "w") as handle:
@@ -102,23 +136,12 @@ def test_mid_file_corruption_skips_only_that_record(tmp_path):
 def test_double_done_after_retried_worker_first_wins(tmp_path):
     journal = JobJournal(str(tmp_path / "j"))
     journal.append("SUBMIT", "k", seq=1, priority=0, job={})
-    journal.append("START", "k")
     journal.append("DONE", "k", digest="first")
     journal.append("DONE", "k", digest="second")
     replay = journal.replay()
     assert replay.entries["k"]["status"] == "done"
     assert replay.entries["k"]["digest"] == "first"
     assert replay.stats["duplicate_done"] == 1
-
-
-def test_segment_rotation_and_replay_across_segments(tmp_path):
-    journal = JobJournal(str(tmp_path / "j"), segment_bytes=256)
-    for seq in range(12):
-        journal.append("SUBMIT", f"k{seq}", seq=seq, priority=0,
-                       job={"pad": "x" * 40})
-    assert journal.stats()["segments"] > 1
-    replay = JobJournal(str(tmp_path / "j")).replay()
-    assert len(replay.pending()) == 12
 
 
 def test_compaction_drops_terminal_history(tmp_path):
@@ -133,9 +156,10 @@ def test_compaction_drops_terminal_history(tmp_path):
     before = journal.size_bytes()
     journal.compact(live)
     assert journal.size_bytes() < before
+    _journal_file(tmp_path / "j")  # the temp file is gone
     replay = JobJournal(str(tmp_path / "j")).replay()
     assert sorted(e["key"] for e in replay.pending()) == ["k6", "k7"]
-    assert replay.stats["compact_barriers"] == 1
+    assert replay.stats["records"] == 2
 
 
 # -- service-level recovery ------------------------------------------
@@ -223,6 +247,16 @@ def test_cancel_after_restart_of_journaled_pending_job(tmp_path):
     # nothing left to do.
     third = _service(tmp_path)
     assert third.recovered == []
+
+
+def test_an_executed_job_journals_submit_and_done_only(tmp_path):
+    service = _service(tmp_path)
+    service.submit(_chaos_job("a", 31))
+    service.drain()
+    with open(_journal_file(tmp_path / "journal")) as handle:
+        assert [_parse(line)["op"] for line in handle] == ["SUBMIT",
+                                                           "DONE"]
+    assert service.journal.fsyncs == 2
 
 
 def test_replay_is_deterministic_and_drain_is_incremental(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.service import (
     AdmissionError,
+    JobError,
     JobSpec,
     QuotaError,
     SimulationService,
@@ -199,13 +200,11 @@ class TestShedding:
         tenants.configure("batch", precedence=0)
         tenants.configure("prod", precedence=10)
         service = self._service(tenants)
-        victim = service.submit(_job("v"), tenant="batch")
-        service.submit(_job("w"), tenant="batch")
-        service.submit(_job("u"), tenant="prod")
-        shed = victim if victim.status == "shed" else None
-        assert shed is not None or True  # exactly one was shed
-        from repro.service import JobError
-        for future in (victim,):
-            if future.status == "shed":
-                with pytest.raises(JobError):
-                    future.result(wait=False)
+        futures = [service.submit(_job(label), tenant=tenant)
+                   for label, tenant in (("v", "batch"), ("w", "batch"),
+                                         ("u", "prod"))]
+        [shed] = [f for f in futures if f.status == "shed"]
+        with pytest.raises(JobError, match="shed"):
+            shed.result(wait=False)
+        with pytest.raises(JobError, match="shed"):
+            shed.result()
